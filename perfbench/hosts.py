@@ -1,8 +1,11 @@
 """Daemon host processes of the benchmark.
 
+    python3 perfbench/hosts.py ROLE FD
+
 Each host runs one wattbus daemon the way its CLI entry does (``wattbus
 drivers``, ``wattbus api``, ``wattbus viz``) and talks to the orchestrating
-parent over a pipe.  The parent sends commands; a host answers with events:
+parent (``run.py``) over the socket inherited as FD.  The parent first sends
+the run's config, then commands; a host answers with events:
 
     driver   -> ("endpoint", url), ("finished", stats)
     consumer <- ("connect", url);  -> ("listening", url), ("ready", t),
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import os
 import resource
+import sys
 import threading
 import time
 import traceback
@@ -26,10 +30,10 @@ from workloads import SECRET, TOKEN, WORKLOADS
 
 
 def peak_rss_mb() -> float:
-    """VmHWM of this process.
+    """VmHWM of this process, in MiB.
 
-    ru_maxrss is no good here: Linux carries it over exec, so a spawned
-    child would report the parent's size whenever that is larger.
+    ru_maxrss is no good here: Linux carries it over exec, so a host would
+    report the parent's size whenever that is larger.
     """
     with open("/proc/self/status", encoding="ascii") as fh:
         for line in fh:
@@ -54,7 +58,7 @@ def fleet_specs(cfg: dict):
 
 
 def host_main(role: str, conn, cfg: dict) -> None:
-    """multiprocessing target: run one host until the parent says exit."""
+    """Run one host until the parent says exit."""
     try:
         host = {"driver": DriverHost, "api": ApiHost, "viz": VizHost}[role](conn, cfg)
         host.run()
@@ -138,6 +142,7 @@ class DriverHost:
                         "cpu_s": end["cpu_s"] - u0["cpu_s"],
                         "csw": end["csw"] - u0["csw"],
                         "maxrss_mb": end["maxrss_mb"],
+                        "bookkeeping_mb": (self.pubs.nbytes + self.polls.nbytes) / 2**20,
                         "threads_peak": threads_peak,
                         "marks": self.marks,
                         "end": end | {"msgs": manager.total_published},
@@ -391,6 +396,7 @@ class ConsumerHost:
             "cpu_s": end["cpu_s"] - u0["cpu_s"],
             "csw": end["csw"] - u0["csw"],
             "maxrss_mb": end["maxrss_mb"],
+            "bookkeeping_mb": self.ledger.rows.nbytes / 2**20,
             "marks": self.marks,
             "end": end | {"msgs": self.ledger.n},
             "rows": self.ledger.rows.export(),
@@ -504,3 +510,25 @@ class VizHost(ConsumerHost):
         # VizServer.close() ends with a full flush of every archive, which
         # only lengthens teardown; the measured flushes ran in the flush loop.
         os._exit(0)
+
+
+def main(argv: list[str]) -> None:
+    from multiprocessing.connection import Connection
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "src"))
+    role, conn = argv[1], Connection(int(argv[2]))
+    code = 0
+    try:
+        host_main(role, conn, conn.recv())
+    except BaseException:
+        traceback.print_exc()
+        code = 1
+    # end here even if a thread of the program is still alive
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
+if __name__ == "__main__":
+    main(sys.argv)

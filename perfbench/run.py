@@ -14,16 +14,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import http.client
 import math
-import multiprocessing as mp
 import os
 import platform
 import shutil
 import statistics
+import subprocess
 import sys
 import threading
 import time
 import traceback
+import urllib.request
+from multiprocessing.connection import Pipe
 from random import Random
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -70,23 +73,34 @@ def pct(values, q: float) -> float:
 
 
 class Daemons:
-    """One set-up of the deployed process layout, driven over pipes."""
+    """One set-up of the deployed process layout, driven over pipes.
 
-    def __init__(self, ctx, cfg: dict, roles: list[str]):
-        from hosts import host_main
+    Each host is a plain child process (``python3 perfbench/hosts.py ROLE
+    FD``) that talks over one end of a socket pair; nothing else is started,
+    so ``close()`` leaves no process behind.
+    """
 
+    def __init__(self, cfg: dict, roles: list[str]):
         self.roles = roles
-        self.procs = {}
+        self.procs: dict[str, subprocess.Popen] = {}
         self.conns = {}
         self.t_launch = time.time()
-        for role in roles:
-            parent_end, child_end = ctx.Pipe()
-            proc = ctx.Process(target=host_main, args=(role, child_end, cfg),
-                               name=f"perfbench-{role}", daemon=True)
-            proc.start()
-            child_end.close()
-            self.procs[role] = proc
-            self.conns[role] = parent_end
+        try:
+            for role in roles:
+                parent_end, child_end = Pipe()
+                self.conns[role] = parent_end
+                fd = child_end.fileno()
+                try:
+                    self.procs[role] = subprocess.Popen(
+                        [sys.executable, os.path.join(HERE, "hosts.py"), role, str(fd)],
+                        pass_fds=(fd,), cwd=ROOT, stdin=subprocess.DEVNULL,
+                        stdout=sys.stderr)  # keep stdout for the result line
+                finally:
+                    child_end.close()
+                parent_end.send(cfg)
+        except BaseException:
+            self.close()
+            raise
 
     @property
     def consumers(self) -> list[str]:
@@ -113,8 +127,8 @@ class Daemons:
                 if msg[0] != kind:
                     raise BenchError(f"{role}: expected {kind!r}, got {msg[0]!r}")
                 return msg[1:]
-            if not proc.is_alive():
-                raise BenchError(f"{role} exited with code {proc.exitcode}")
+            if proc.poll() is not None:
+                raise BenchError(f"{role} exited with code {proc.returncode}")
 
     def setup(self) -> dict:
         """Connect everything; returns URLs and set-up time."""
@@ -126,16 +140,18 @@ class Daemons:
         return {"urls": urls, "setup_s": max(ready) - self.t_launch, "t_ready": max(ready)}
 
     def close(self) -> None:
-        for role in self.consumers + ["driver"]:
+        """Ask every host to exit, kill any that does not, wait for all."""
+        for role in [r for r in self.consumers + ["driver"] if r in self.conns]:
             try:
                 self.send(role, "exit")
             except OSError:
                 pass
-        for role, proc in self.procs.items():
-            proc.join(timeout=15.0)
-            if proc.is_alive():
+        for proc in self.procs.values():
+            try:
+                proc.wait(timeout=15.0)
+            except subprocess.TimeoutExpired:
                 proc.kill()
-                proc.join(timeout=5.0)
+                proc.wait()
         for conn in self.conns.values():
             conn.close()
 
@@ -147,46 +163,69 @@ class ReadClient(threading.Thread):
     """Closed loop, one request in flight, READ_RATE_HZ; a fixed rotation."""
 
     def __init__(self, api_url: str, viz_url: str, topics: list[str], seed: int):
+        from wattbus.pollster import PollsterAuthError
+
         super().__init__(name="perfbench-reads", daemon=True)
+        # a read that raises one of these was not answered 200 (URLError
+        # and HTTPError are OSErrors; IncompleteRead is an HTTPException)
+        self.transport_errors = (OSError, http.client.HTTPException, PollsterAuthError)
         self.api_url, self.viz_url = api_url, viz_url
         self.topics = topics
         self.rng = Random(seed)
         self.stop = threading.Event()
         # (kind, send ns, receive ns, answered, body ok, samples_for ns)
         self.records: list[tuple] = []
-        self.error: str | None = None
+        self.last_error: str | None = None  # last read that was not answered
+        self.crash: str | None = None  # traceback if the loop itself died
 
     @staticmethod
     def _get(url: str, headers=None) -> tuple[bytes, int]:
-        import urllib.request  # here, not at the top: spawned daemons re-import this file
-
         req = urllib.request.Request(url, headers=headers or {})
         with urllib.request.urlopen(req, timeout=10.0) as resp:
             body = resp.read()
         return body, time.monotonic_ns()
 
     def _one(self, kind: str, topic: str) -> tuple[bool, int, int]:
-        """Send one read; returns (body ok, receive ns, samples_for ns)."""
+        """Send one read; returns (body ok, receive ns, samples_for ns).
+
+        Transport errors propagate (the read was not answered); any error
+        while parsing or checking an answered body makes it not ok.
+        """
         from wattbus.pollster import fetch_probes, samples_for
 
         if kind == "probes":
-            probes = fetch_probes(self.api_url, TOKEN)
+            # fetch_probes does the GET and the parse in one call, so the
+            # two are told apart by the exception: a parse or shape error
+            # on the answered body is anything but a transport error.
+            try:
+                probes = fetch_probes(self.api_url, TOKEN)
+            except self.transport_errors:
+                raise
+            except Exception:
+                return False, time.monotonic_ns(), 0
             t1 = time.monotonic_ns()
-            ok = (len(probes) == len(self.topics)
-                  and all(RECORD_KEYS <= set(rec) for rec in probes.values()))
+            if not parses(lambda: len(probes) == len(self.topics) and all(
+                    RECORD_KEYS <= set(rec) for rec in probes.values())):
+                return False, t1, 0
             t2 = time.monotonic_ns()
             samples_for(probes)
-            return ok, t1, time.monotonic_ns() - t2
+            return True, t1, time.monotonic_ns() - t2
         if kind == "probe":
             body, t1 = self._get(f"{self.api_url}/v1/probes/{topic}/", {"X-Auth-Token": TOKEN})
-            return RECORD_KEYS <= set(json.loads(body)), t1, 0
+            return parses(lambda: RECORD_KEYS <= set(json.loads(body))), t1, 0
         if kind == "chart":
             body, t1 = self._get(f"{self.viz_url}/charts/{topic}.svg")
             return body.startswith(b"<svg"), t1, 0
         body, t1 = self._get(f"{self.viz_url}/stats/{topic}")
-        return STATS_KEYS <= set(json.loads(body)), t1, 0
+        return parses(lambda: STATS_KEYS <= set(json.loads(body))), t1, 0
 
     def run(self) -> None:
+        try:
+            self._loop()
+        except BaseException:
+            self.crash = traceback.format_exc()
+
+    def _loop(self) -> None:
         period_ns = int(1e9 / READ_RATE_HZ)
         i = 0
         topic = self.topics[0]
@@ -203,11 +242,19 @@ class ReadClient(threading.Thread):
             try:
                 body_ok, t1, samples_ns = self._one(kind, topic)
                 answered = True
-            except (OSError, ValueError, KeyError) as exc:  # URLError is an OSError
+            except self.transport_errors as exc:
                 body_ok, t1, samples_ns, answered = True, time.monotonic_ns(), 0, False
-                self.error = repr(exc)
+                self.last_error = repr(exc)
             self.records.append((kind, t0, t1, answered, body_ok, samples_ns))
             i += 1
+
+
+def parses(check) -> bool:
+    """``check()``, where any exception means the body did not parse."""
+    try:
+        return bool(check())
+    except Exception:
+        return False
 
 
 # -- one run -----------------------------------------------------------------------
@@ -228,7 +275,6 @@ def run_workload(args) -> dict:
     }
     specs = fleet_specs(base_cfg)
     topics = [t for s in specs for t in s.all_topics()]
-    ctx = mp.get_context("spawn")
     setups = []
     result: dict = {}
     shutil.rmtree(run_dir, ignore_errors=True)
@@ -242,7 +288,7 @@ def run_workload(args) -> dict:
                 "trace": bool(args.trace) and last,
                 "viz_dir": os.path.join(run_dir, f"viz{rep}"),
             }
-            daemons = Daemons(ctx, cfg, roles)
+            daemons = Daemons(cfg, roles)
             try:
                 info = daemons.setup()
                 setups.append(info["setup_s"])
@@ -286,7 +332,9 @@ def measure(daemons: Daemons, info: dict, w, args, topics) -> dict:
         reports[role] = daemons.recv(role, "report", 60.0)[0]
     return {"info": info, "driver": driver, "consumers": reports,
             "reads": reader.records if reader else [], "t_trace_on": t_trace_on,
-            "read_error": reader.error if reader else None}
+            "read_error": reader.last_error if reader else None,
+            "read_crash": reader.crash if reader else None,
+            "read_alive": reader.is_alive() if reader else False}
 
 
 # -- metrics and checks -----------------------------------------------------------
@@ -387,16 +435,28 @@ def analyse(args, r: dict) -> tuple[dict, dict, list[str], dict]:
         failures.append(f"{bad_bodies} reads answered 200 with an unparseable body")
     if w.reads and not reads:
         failures.append("the read client sent nothing")
+    if r["read_crash"]:
+        failures.append("the read client died: " + r["read_crash"].strip().splitlines()[-1])
+    if r["read_alive"]:
+        failures.append("the read client did not stop")
 
+    def rss_mb(rep):
+        """Peak RSS less the benchmark's own preallocated bookkeeping."""
+        return rep["maxrss_mb"] - rep["bookkeeping_mb"]
+
+    setup_s = statistics.median(r["setups"])
+    # DriverManager(stagger=True) starts driver i of n at i/n of an interval
+    last_offset_s = (len(specs) - 1) / len(specs) * w.interval_s
     metrics = {
-        "setup_s": statistics.median(r["setups"]),
-        "driver_rss_mb": driver["maxrss_mb"],
-        "api_rss_mb": consumers["api"]["maxrss_mb"],
+        "setup_s": setup_s,
+        "driver_cpu_us_per_msg": driver["cpu_s"] / max(driver["published"], 1) * 1e6,
+        "driver_rss_mb": rss_mb(driver),
+        "api_rss_mb": rss_mb(consumers["api"]),
     }
     report = {
+        "setup_unstaggered_s": setup_s - last_offset_s,
         "lag_p50_ms": pct(lags, 50),
         "lag_p99_ms": pct(lags, 99),
-        "driver_cpu_us_per_msg": driver["cpu_s"] / max(driver["published"], 1) * 1e6,
         "api_cpu_us_per_msg": consumers["api"]["cpu_s"] / max(consumers["api"]["ingested"], 1) * 1e6,
         "msg_lost_ratio": (expected - len(common)) / expected,
         "read_error_ratio": read_errors / len(reads) if reads else 0.0,
@@ -405,7 +465,7 @@ def analyse(args, r: dict) -> tuple[dict, dict, list[str], dict]:
         viz = consumers["viz"]
         report |= {
             "viz_cpu_us_per_msg": viz["cpu_s"] / max(viz["ingested"], 1) * 1e6,
-            "viz_rss_mb": viz["maxrss_mb"],
+            "viz_rss_mb": rss_mb(viz),
             "probes_read_p50_ms": pct(lat["probes"], 50),
             "probes_read_p95_ms": pct(lat["probes"], 95),
             "chart_read_p50_ms": pct(lat["chart"], 50),
@@ -417,6 +477,8 @@ def analyse(args, r: dict) -> tuple[dict, dict, list[str], dict]:
         "reads": len(reads), "read_errors": read_errors,
         "read_samples": {k: len(v) for k, v in lat.items()},
         "setups_s": r["setups"], "driver_drained": driver["drained"],
+        "bookkeeping_mb": {role: rep["bookkeeping_mb"]
+                           for role, rep in ({"driver": driver} | consumers).items()},
         "last_read_error": r.get("read_error"),
     }
     if not driver["drained"]:
@@ -631,6 +693,8 @@ def main(argv=None) -> int:
     try:
         r = run_workload(args)
         metrics, report, failures, counts = analyse(args, r)
+        if r["read_crash"]:
+            print(r["read_crash"], file=sys.stderr)
         missing: list[str] = []
         if args.trace:
             layer, missing, serial_checks, layer_counts = per_layer(args, r)

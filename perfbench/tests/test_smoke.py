@@ -21,11 +21,31 @@ sys.path.insert(0, BENCH)
 from workloads import END_TO_END, PER_LAYER, WORKLOADS  # noqa: E402
 
 
+def session_members(sid: int) -> list[str]:
+    """Processes of session ``sid``, zombies included, as "pid state"."""
+    found = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat", encoding="ascii", errors="replace") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # ended meanwhile
+        if int(fields[3]) == sid:  # state, ppid, pgrp, session
+            found.append(f"{name} {fields[0]}")
+    return found
+
+
 def run(workload: str, trace: int, cwd: str = ROOT, seed: int = 7):
-    return subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", "2", "--trace", str(trace), "--drivers", "3"],
-        cwd=cwd, capture_output=True, text=True, timeout=170)
+    """Run the benchmark in a session of its own; it must leave no process."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", "2", "--trace", str(trace), "--drivers", "3"]
+    with subprocess.Popen(cmd, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        out, err = proc.communicate(timeout=170)
+    assert session_members(proc.pid) == [], "left running after the benchmark"
+    return subprocess.CompletedProcess(cmd, proc.returncode, out, err)
 
 
 def test_benchmark_json_matches_the_tables():

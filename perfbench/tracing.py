@@ -22,18 +22,24 @@ import threading
 from array import array
 from time import monotonic_ns, thread_time_ns
 
+# Spans kept per process for the span file; the aggregates cover every span.
+SPAN_CAP = 100_000
+
 
 class Columns:
     """Preallocated column arrays with a thread-safe append cursor.
 
-    Per-message bookkeeping in the daemons goes here so that it stays a
-    fixed size whatever the run length or message rate.
+    Per-message bookkeeping in the daemons goes here.  It is allocated
+    once, before the run, at a capacity the caller sizes from the fleet and
+    the run length, so it neither grows during a run nor varies from run to
+    run; ``nbytes`` is what it adds to the process's RSS.
     """
 
     def __init__(self, capacity: int, **typecodes: str):
         self.capacity = capacity
-        self.cols = {name: array(code, bytes(array(code).itemsize * capacity))
-                     for name, code in typecodes.items()}
+        # array * n fills in place: no temporary of the column's size, which
+        # would otherwise show in the process's peak RSS
+        self.cols = {name: array(code, [0]) * capacity for name, code in typecodes.items()}
         self._cursor = itertools.count()  # next() is atomic under the GIL
         self.overflow = 0
 
@@ -44,6 +50,10 @@ class Columns:
             return
         for col, value in zip(self.cols.values(), values):
             col[i] = value
+
+    @property
+    def nbytes(self) -> int:
+        return sum(col.itemsize * len(col) for col in self.cols.values())
 
     def export(self) -> dict:
         """Column bytes of the filled rows; call once appends have stopped."""
@@ -80,13 +90,12 @@ class Tracer:
     publisher proxy) check ``on`` and stay pass-through until it is set.
     """
 
-    def __init__(self, keep=(), span_cap: int = 100_000):
+    def __init__(self, keep=()):
         self.names: list[str] = []
         self._ids: dict[str, int] = {}
         self._local = threading.local()
         self._threads: list[_ThreadState] = []
         self._span_ids = itertools.count()
-        self._span_cap = span_cap
         self._keep = set(keep)
         self.on = False
         self.missing: list[str] = []  # "seam -> span name" that could not be wrapped
@@ -153,7 +162,7 @@ class Tracer:
         agg[3] += wall - frame[1]
         if keep:
             st.kept.setdefault(nid, []).append((t0, wall))
-        if frame[2] < self._span_cap:
+        if frame[2] < SPAN_CAP:
             st.spans.append((frame[2], nid, st.ident, parent, t0, t1, msg))
 
     def patch(self, owner, attr: str, name: str, hook=None, label: str | None = None):
