@@ -1,15 +1,15 @@
 """Benchmark harness: emulated device fleets through the full pipeline.
 
-A scenario spins up a driver process (publisher plus one worker thread per
-emulated card or PDU) and a separate counting consumer process, so the
+A scenario spins up a driver process (publisher plus the driver manager's
+scheduler thread) and a separate counting consumer process, so the
 measurement side never shares an interpreter with the load generator.  The
 driver fleet runs a fixed number of ticks paced at the scenario interval,
 which makes the expected publication count exact: fleet size times ticks.
 
 The two standard fleets:
 
-* ``ipmi``: 1,000 single-outlet cards, one worker thread each
-* ``pdu``:  100 strips of 10 outlets, one worker thread per strip
+* ``ipmi``: 1,000 single-outlet cards
+* ``pdu``:  100 strips of 10 outlets
 
 Both place fleet_size*outlets/interval measurements per second on the bus.
 Reported jitter is the distribution of per-probe inter-arrival times at
@@ -28,7 +28,6 @@ import multiprocessing as mp
 import os
 import resource
 import tempfile
-import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -151,7 +150,6 @@ def _cpu_seconds() -> float:
 
 def _driver_process(scenario: Scenario, endpoint_fields: dict, base_seed: int,
                     port_queue, start_event, result_queue) -> None:
-    threading.stack_size(512 * 1024)  # 1,000 workers: keep stacks small
     publisher = Publisher(Endpoint(**endpoint_fields))
     port_queue.put(str(publisher.endpoint))
     manager = DriverManager(

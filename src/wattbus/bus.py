@@ -436,10 +436,64 @@ class Publisher:
                 pass
 
 
-_CLOSED = object()
+class _FrameQueue:
+    """Frames waiting for one consumer, read with ``get`` or iteration.
+
+    With ``maxlen`` set, a put onto a full queue drops the oldest frame and
+    counts it in ``drops``; without it the queue is unbounded.
+    """
+
+    def __init__(self, maxlen: int | None = None):
+        self._queue: deque[Frame] = deque(maxlen=maxlen)
+        self._cond = threading.Condition()
+        self._closed = False
+        self.frames_received = 0
+        self.drops = 0
+
+    def _put(self, frames) -> None:
+        with self._cond:
+            if self._closed:
+                return
+            for f in frames:
+                if len(self._queue) == self._queue.maxlen:
+                    self.drops += 1  # the append below evicts the oldest
+                self._queue.append(f)
+                self.frames_received += 1
+            self._cond.notify_all()
+
+    def _close_queue(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+
+    def get(self, timeout: float | None = None) -> Frame | None:
+        """Next frame, or None on timeout / after close."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._cond:
+            while not self._queue:
+                if self._closed:
+                    return None
+                if deadline is None:
+                    self._cond.wait()
+                else:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return None
+                    self._cond.wait(remaining)
+            return self._queue.popleft()
+
+    def __iter__(self):
+        while True:
+            f = self.get(timeout=0.25)
+            if f is not None:
+                yield f
+            elif self._closed:
+                with self._cond:
+                    if not self._queue:
+                        return
 
 
-class Subscriber:
+class Subscriber(_FrameQueue):
     """Connects to a publisher and yields matching frames.
 
     Reconnects transparently with exponential backoff after connection
@@ -449,7 +503,7 @@ class Subscriber:
     retrying).
 
     Iterate over the instance, or call ``get(timeout)`` which returns None
-    on timeout and after close.
+    on timeout and after close.  The local queue is unbounded.
     """
 
     def __init__(self, endpoint: Endpoint, prefix: str = "",
@@ -457,17 +511,14 @@ class Subscriber:
                  reconnect_delay: float = 0.05,
                  max_reconnect_delay: float = 2.0,
                  retries_before_error: int = 10):
+        super().__init__()
         self.endpoint = endpoint
         self.prefix = prefix
         self._on_event = on_event
         self._reconnect_delay = reconnect_delay
         self._max_reconnect_delay = max_reconnect_delay
         self._retries_before_error = retries_before_error
-        self._queue: deque = deque()
-        self._cond = threading.Condition()
-        self._closed = False
         self._sock: socket.socket | None = None
-        self.frames_received = 0
         self.reconnects = 0
         self._thread = threading.Thread(
             target=self._run, name=f"sub-{endpoint}", daemon=True)
@@ -532,11 +583,7 @@ class Subscriber:
                 log.warning("protocol error from %s: %s", self.endpoint, exc)
                 return
             if frames:
-                with self._cond:
-                    for f in frames:
-                        self._queue.append(f)
-                        self.frames_received += 1
-                    self._cond.notify_all()
+                self._put(frames)
 
     def _interruptible_sleep(self, seconds: float) -> bool:
         """Sleep in small slices; True if closed meanwhile."""
@@ -547,99 +594,28 @@ class Subscriber:
             time.sleep(min(0.05, seconds))
         return self._closed
 
-    def get(self, timeout: float | None = None) -> Frame | None:
-        """Next frame, or None on timeout / after close."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while not self._queue:
-                if self._closed:
-                    return None
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    self._cond.wait(remaining)
-            return self._queue.popleft()
-
-    def __iter__(self):
-        while True:
-            f = self.get(timeout=0.25)
-            if f is not None:
-                yield f
-            elif self._closed:
-                with self._cond:
-                    if not self._queue:
-                        return
-
     def close(self) -> None:
-        self._closed = True
+        self._close_queue()
         sock = self._sock
         if sock is not None:
             try:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        with self._cond:
-            self._cond.notify_all()
         self._thread.join(timeout=5.0)
 
 
-class _InprocSubscription:
+class _InprocSubscription(_FrameQueue):
     """Consumer handle on an in-process channel; same surface as Subscriber."""
 
     def __init__(self, channel: "InprocChannel", prefix: str, queue_size: int):
+        super().__init__(maxlen=queue_size)
         self._channel = channel
         self.prefix = prefix
-        self._queue: deque[Frame] = deque()
-        self._queue_size = queue_size
-        self._cond = threading.Condition()
-        self._closed = False
-        self.frames_received = 0
-        self.drops = 0
-
-    def _deliver(self, f: Frame) -> None:
-        with self._cond:
-            if self._closed:
-                return
-            if len(self._queue) >= self._queue_size:
-                self._queue.popleft()
-                self.drops += 1
-            self._queue.append(f)
-            self.frames_received += 1
-            self._cond.notify_all()
-
-    def get(self, timeout: float | None = None) -> Frame | None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while not self._queue:
-                if self._closed:
-                    return None
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    self._cond.wait(remaining)
-            return self._queue.popleft()
-
-    def __iter__(self):
-        while True:
-            f = self.get(timeout=0.25)
-            if f is not None:
-                yield f
-            elif self._closed:
-                with self._cond:
-                    if not self._queue:
-                        return
 
     def close(self) -> None:
         self._channel._unsubscribe(self)
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        self._close_queue()
 
 
 class InprocChannel:
@@ -696,7 +672,7 @@ class InprocChannel:
             targets = [s for s in self._subs if match_prefix(s.prefix, f.topic)]
             self._frames_delivered += len(targets)
         for sub in targets:
-            sub._deliver(f)
+            sub._put((f,))
 
     def drain(self, timeout: float = 0.0) -> bool:
         return True  # delivery is synchronous

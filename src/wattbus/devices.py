@@ -112,7 +112,7 @@ def seed_for_topic(topic: str, base_seed: int = 0) -> int:
 
 @dataclass(frozen=True)
 class DriverSpec:
-    """Everything a driver worker needs to run one probe.
+    """Everything a driver needs to run one probe.
 
     ``interval_s`` is how often the driver queries (or drains) the device
     and must not be shorter than the device's own refresh period.  Multi
@@ -194,24 +194,24 @@ class PushDevice:
     """Streaming wattmeter: emits at its own cadence, the driver drains.
 
     The emulator generates one batch of readings per refresh period since
-    the previous drain, with strictly increasing timestamps.
+    the previous drain, with strictly increasing timestamps; the k-th batch
+    is stamped exactly ``start_time + k * refresh_period_s``.
     """
 
     def __init__(self, spec: DriverSpec, start_time: float):
         self.spec = spec
-        self._next_emit = start_time + spec.profile.refresh_period_s
+        self._start = start_time
         self._ticks = 0
 
     def read(self, now: float) -> list[Reading]:
         readings: list[Reading] = []
         step = self.spec.profile.refresh_period_s
-        while self._next_emit <= now:
-            t = self._next_emit
+        # batch k is stamped start + k*step: a running sum would drift
+        while (t := self._start + (self._ticks + 1) * step) <= now:
             tick = self._ticks
             self._ticks += 1
             for outlet in range(1, self.spec.outlet_count + 1):
                 readings.append(Reading(outlet, t, _raw_watts(self.spec, outlet, t, tick)))
-            self._next_emit += step
         return readings
 
 

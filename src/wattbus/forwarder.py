@@ -50,6 +50,7 @@ class Forwarder:
         self._subscribers: list[Subscriber] = []
         self._pumps: list[threading.Thread] = []
         self._closed = False
+        self._count_lock = threading.Lock()  # one pump thread per upstream counts
         self.frames_forwarded = 0
         for endpoint, prefix in cfg.upstreams:
             sub = Subscriber(endpoint, prefix,
@@ -74,7 +75,8 @@ class Forwarder:
             if self._closed:
                 return
             self.publisher.publish(frame)
-            self.frames_forwarded += 1
+            with self._count_lock:
+                self.frames_forwarded += 1
 
     def close(self) -> None:
         self._closed = True

@@ -1,11 +1,11 @@
-"""Driver workers and the supervising manager.
+"""Driver scheduling and the supervising manager.
 
-One worker thread runs per driver spec (one per IPMI card, one per PDU).
-Each worker paces itself on its poll interval, reads the device, quantizes
-to the device precision, optionally signs, and publishes one frame per
-outlet.  A watchdog sweep restarts dead workers; a worker that keeps dying
-without ever publishing again is quarantined so a broken probe cannot hog
-the manager forever.
+One scheduler thread paces the whole fleet (one driver spec per IPMI card,
+one per PDU): when a spec comes due it reads the device, quantizes to the
+device precision, optionally signs, and publishes one frame per outlet.  A
+watchdog sweep on the same thread restarts dead drivers; a driver that
+keeps dying without ever publishing again is quarantined so a broken probe
+cannot hog the manager forever.
 
 Measurements lost to device timeouts are counted, never silently ignored:
 wattmeters report instantaneous W, not cumulative kWh, so a missed sample
@@ -14,6 +14,8 @@ cannot be reconstructed from later readings.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import logging
 import os
@@ -64,7 +66,7 @@ def poll_once(spec: DriverSpec, device, now: float | None = None) -> list[Measur
 
 @dataclass(frozen=True)
 class DriverStatus:
-    """Point-in-time view of one driver worker."""
+    """Point-in-time view of one driver."""
 
     topic: str
     alive: bool
@@ -78,16 +80,17 @@ class DriverStatus:
 
 
 class _DriverSlot:
-    """Mutable per-driver state that survives worker restarts."""
+    """Mutable per-driver state that survives restarts."""
 
     def __init__(self, spec: DriverSpec):
         self.spec = spec
-        self.thread: threading.Thread | None = None
-        self.wake = threading.Event()  # set by stop or kill injection
+        self.device = None  # made when the slot first comes due after a (re)start
+        self.anchor = 0.0  # monotonic time the device was made
+        self.tick_here = 0  # ticks since the (re)start; ``ticks`` spans restarts
+        self.alive = False  # scheduled on the heap, neither dead nor finished
         self.kill_requested = False
         self.restart_count = 0
         self.consecutive_restarts = 0
-        self.healthy_since_restart = False
         self.quarantined = False
         self.finished = False
         self.last_emit_timestamp: float | None = None
@@ -96,10 +99,9 @@ class _DriverSlot:
         self.ticks = 0
 
     def status(self) -> DriverStatus:
-        thread = self.thread
         return DriverStatus(
             topic=self.spec.topic,
-            alive=thread is not None and thread.is_alive(),
+            alive=self.alive,
             quarantined=self.quarantined,
             finished=self.finished,
             last_emit_timestamp=self.last_emit_timestamp,
@@ -110,17 +112,20 @@ class _DriverSlot:
         )
 
 
-class _InjectedFailure(Exception):
-    """Raised inside a worker when a test/operator asked it to die."""
-
-
 class DriverManager:
-    """Spawns, paces and supervises one worker per driver spec.
+    """Paces and supervises every driver spec from one scheduler thread.
 
-    ``max_ticks`` bounds each worker to a fixed number of poll ticks (the
-    benchmark harness uses this for deterministic publication counts);
-    daemon mode leaves it None.  ``stagger`` spreads worker start times
-    across one interval so a large fleet does not publish in lockstep.
+    The thread waits on a heap of ``(due, seq, slot)`` entries; the k-th
+    tick after a slot's device was made at ``anchor`` is due at
+    ``anchor + k * interval_s``.  Devices are read inline, so ``read`` must
+    not block (no emulator does).  A slot dies when its device factory
+    raises, when a tick raises anything but a counted ``DriverError``, or
+    when it comes due after ``inject_failure``; the watchdog restarts it
+    with a fresh device.  ``max_ticks`` bounds each driver to a fixed number
+    of poll ticks (the benchmark harness uses this for deterministic
+    publication counts); daemon mode leaves it None.  ``stagger`` spreads
+    driver start times across one interval so a large fleet does not
+    publish in lockstep.
     """
 
     def __init__(self, probes: list[DriverSpec], publisher,
@@ -141,40 +146,36 @@ class DriverManager:
         self._stagger = stagger
         self._status_path = status_path
         self._stop = threading.Event()
-        self._watchdog: threading.Thread | None = None
-        self._started = False
+        self._heap: list[tuple[float, int, _DriverSlot | None]] = []
+        self._seq = itertools.count()  # ties never compare slots
+        self._scheduler: threading.Thread | None = None
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
-        if self._started:
+        if self._scheduler is not None:
             raise RuntimeError("manager already started")
-        self._started = True
-        specs = list(self._slots.values())
-        n = len(specs)
-        for i, slot in enumerate(specs):
+        now = time.monotonic()
+        slots = list(self._slots.values())
+        n = len(slots)
+        for i, slot in enumerate(slots):
             offset = (i / n) * slot.spec.interval_s if self._stagger else 0.0
-            self._spawn(slot, offset)
-        self._watchdog = threading.Thread(
-            target=self._watchdog_loop, name="driver-watchdog", daemon=True)
-        self._watchdog.start()
-        log.info("started %d driver worker(s)", n)
+            self._schedule(slot, now + offset)
+        self._scheduler = threading.Thread(
+            target=self._run, args=(now,), name="driver-scheduler", daemon=True)
+        self._scheduler.start()
+        log.info("scheduling %d driver(s)", n)
 
     def stop(self, timeout: float = 10.0) -> None:
         self._stop.set()
+        if self._scheduler is not None:
+            self._scheduler.join(timeout)
         for slot in self._slots.values():
-            slot.wake.set()
-        deadline = time.monotonic() + timeout
-        for slot in self._slots.values():
-            thread = slot.thread
-            if thread is not None:
-                thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=max(0.0, deadline - time.monotonic()))
+            slot.alive = False
         self._write_status_file()
 
     def wait_finished(self, timeout: float | None = None) -> bool:
-        """Block until every worker completed its max_ticks (bench mode)."""
+        """Block until every driver completed its max_ticks (bench mode)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if all(s.finished or s.quarantined for s in self._slots.values()):
@@ -200,56 +201,67 @@ class DriverManager:
         return sum(s.lost for s in self._slots.values())
 
     def inject_failure(self, topic: str) -> None:
-        """Make one worker die on its next wakeup (supervision testing)."""
-        slot = self._slots[topic]
-        slot.kill_requested = True
-        slot.wake.set()
+        """Make one driver die when it next comes due (supervision testing)."""
+        self._slots[topic].kill_requested = True
 
-    # -- worker machinery -------------------------------------------------
+    # -- scheduler --------------------------------------------------------
 
-    def _spawn(self, slot: _DriverSlot, start_offset: float = 0.0) -> None:
-        slot.wake.clear()
+    def _push(self, due: float, slot: _DriverSlot | None) -> None:
+        heapq.heappush(self._heap, (due, next(self._seq), slot))
+
+    def _schedule(self, slot: _DriverSlot, due: float) -> None:
+        """(Re)start a slot: a fresh device is made when it comes due."""
+        slot.device = None
+        slot.tick_here = 0
         slot.kill_requested = False
-        slot.healthy_since_restart = False
-        thread = threading.Thread(
-            target=self._worker_main, args=(slot, start_offset),
-            name=f"driver-{slot.spec.topic}", daemon=True)
-        slot.thread = thread
-        thread.start()
+        slot.alive = True
+        self._push(due, slot)
 
-    def _worker_main(self, slot: _DriverSlot, start_offset: float) -> None:
-        try:
-            self._worker_loop(slot, start_offset)
-        except _InjectedFailure:
-            log.warning("driver %s: worker killed", slot.spec.topic)
-        except Exception:
-            log.exception("driver %s: worker crashed", slot.spec.topic)
-
-    def _worker_loop(self, slot: _DriverSlot, start_offset: float) -> None:
-        spec = slot.spec
-        if start_offset > 0:
-            if slot.wake.wait(start_offset):
-                if slot.kill_requested:
-                    raise _InjectedFailure(spec.topic)
-                return  # manager stopping
-        device = self._device_factory(spec, time.time())
-        anchor = time.monotonic()
-        tick_here = 0  # ticks since this (re)start; slot.ticks spans restarts
-        while not self._stop.is_set():
-            if self._max_ticks is not None and slot.ticks >= self._max_ticks:
-                slot.finished = True
+    def _run(self, t0: float) -> None:
+        sweeps = 1
+        self._push(t0 + self._watchdog_period_s, None)  # None: the watchdog entry
+        while True:
+            due, _, slot = self._heap[0]
+            delay = due - time.monotonic()
+            if delay > 0:
+                if self._stop.wait(delay):
+                    return
+                continue
+            if self._stop.is_set():
                 return
-            deadline = anchor + tick_here * spec.interval_s
-            remaining = deadline - time.monotonic()
-            if remaining > 0 and slot.wake.wait(remaining):
-                if slot.kill_requested:
-                    raise _InjectedFailure(spec.topic)
-                return  # stop requested
-            if slot.kill_requested:
-                raise _InjectedFailure(spec.topic)
-            self._tick(slot, device)
-            tick_here += 1
-        slot.finished = self._max_ticks is not None and slot.ticks >= self._max_ticks
+            heapq.heappop(self._heap)
+            if slot is not None:
+                slot.alive = self._run_slot(slot)
+                continue
+            self._sweep()
+            try:
+                self._write_status_file()
+            except OSError:
+                log.exception("status file %s not written", self._status_path)
+            sweeps += 1
+            self._push(t0 + sweeps * self._watchdog_period_s, None)
+
+    def _run_slot(self, slot: _DriverSlot) -> bool:
+        """Run one due slot; False once it has died or finished."""
+        spec = slot.spec
+        if slot.kill_requested:
+            log.warning("driver %s: killed", spec.topic)
+            return False
+        try:
+            if slot.device is None:
+                slot.device = self._device_factory(spec, time.time())
+                slot.anchor = time.monotonic()
+            if self._max_ticks is None or slot.ticks < self._max_ticks:
+                self._tick(slot, slot.device)
+        except Exception:
+            log.exception("driver %s: crashed", spec.topic)
+            return False
+        if self._max_ticks is not None and slot.ticks >= self._max_ticks:
+            slot.finished = True
+            return False
+        slot.tick_here += 1
+        self._push(slot.anchor + slot.tick_here * spec.interval_s, slot)
+        return True
 
     def _tick(self, slot: _DriverSlot, device) -> None:
         spec = slot.spec
@@ -266,22 +278,13 @@ class DriverManager:
             self._publisher.publish(Frame(m.probe.topic, encode_measurement(m)))
             slot.published += 1
             slot.last_emit_timestamp = m.timestamp
-        slot.healthy_since_restart = True
         slot.consecutive_restarts = 0
 
     # -- watchdog ---------------------------------------------------------
 
-    def _watchdog_loop(self) -> None:
-        while not self._stop.wait(self._watchdog_period_s):
-            self._sweep()
-            self._write_status_file()
-
     def _sweep(self) -> None:
         for slot in self._slots.values():
-            if slot.finished or slot.quarantined or self._stop.is_set():
-                continue
-            thread = slot.thread
-            if thread is not None and thread.is_alive():
+            if slot.alive or slot.finished or slot.quarantined:
                 continue
             if slot.consecutive_restarts >= self._restart_limit:
                 slot.quarantined = True
@@ -292,7 +295,7 @@ class DriverManager:
             slot.consecutive_restarts += 1
             log.warning("driver %s dead, restarting (restart %d)",
                         slot.spec.topic, slot.restart_count)
-            self._spawn(slot)
+            self._schedule(slot, time.monotonic())
 
     def _write_status_file(self) -> None:
         if self._status_path is None:
@@ -315,15 +318,12 @@ class DriverManager:
         os.replace(tmp, self._status_path)
 
 
-def run_manager(cfg, publisher=None,
-                watchdog_period_s: float = DEFAULT_WATCHDOG_PERIOD_S,
+def run_manager(cfg, watchdog_period_s: float = DEFAULT_WATCHDOG_PERIOD_S,
                 status_path: str | None = None) -> None:
     """Run the driver fleet until interrupted (CLI entry)."""
     from wattbus.bus import Publisher  # local import keeps module deps one-way
 
-    own_publisher = publisher is None
-    if publisher is None:
-        publisher = Publisher(cfg.bind)
+    publisher = Publisher(cfg.bind)
     manager = DriverManager(
         cfg.probes, publisher, secret=cfg.signing_secret,
         watchdog_period_s=watchdog_period_s, status_path=status_path)
@@ -336,5 +336,4 @@ def run_manager(cfg, publisher=None,
         pass
     finally:
         manager.stop()
-        if own_publisher:
-            publisher.close()
+        publisher.close()

@@ -154,7 +154,8 @@ class VizState:
 
     def ingest(self, m: Measurement) -> None:
         if self._secret is not None and not verify(m, self._secret):
-            self.rejected += 1
+            with self._lock:
+                self.rejected += 1
             return
         with self._lock:
             arch = self._probes.get(m.probe.topic)

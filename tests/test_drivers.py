@@ -1,6 +1,7 @@
 """Device emulators, quantization, and driver manager supervision."""
 
 import math
+import threading
 import time
 from fractions import Fraction
 
@@ -157,6 +158,17 @@ class TestDevices:
         assert stamps == sorted(stamps)
         assert len(set(stamps)) == 5  # strictly increasing
         assert device.read(now=105.0) == []  # drained
+
+    def test_push_timestamps_exact_over_one_hour(self):
+        spec = DriverSpec(ProbeId.parse("a/b"), PROFILES["zez_lmg450"],
+                          interval_s=1.0, seed=1)
+        start, step = 1_700_000_000.25, spec.profile.refresh_period_s
+        device = PushDevice(spec, start_time=start)
+        stamps = []
+        for j in range(1, 3601):
+            stamps += [r.timestamp for r in device.read(now=start + j)]
+        assert len(stamps) >= 71_999  # the last batch may fall just past the hour
+        assert stamps == [start + k * step for k in range(1, len(stamps) + 1)]
 
     def test_make_device_honors_mode(self):
         assert isinstance(make_device(pdu_spec(), 0.0), PullDevice)
@@ -325,6 +337,24 @@ class TestDriverManager:
             assert not status.alive
         finally:
             manager.stop()
+
+    def test_thousand_drivers_share_one_thread(self):
+        chan = InprocChannel()
+        specs = ipmi_specs(1000, interval=0.5)
+        manager = DriverManager(specs, chan, max_ticks=3,
+                                watchdog_period_s=60.0)
+        before = threading.active_count()
+        peak = before
+        manager.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while not manager.wait_finished(timeout=0) and time.monotonic() < deadline:
+                peak = max(peak, threading.active_count())
+                time.sleep(0.01)
+        finally:
+            manager.stop()
+        assert peak - before <= 1
+        assert [s.published for s in manager.statuses()] == [3] * 1000
 
     def test_status_file(self, tmp_path):
         path = tmp_path / "status.jsonl"
