@@ -147,25 +147,31 @@ class Endpoint:
 
 
 class _FrameBuffer:
-    """Incremental parser for a length-prefixed frame stream."""
+    """Incremental parser for a length-prefixed frame stream.
+
+    ``feed`` walks the complete frames with an offset and drops the
+    consumed bytes once per call, so the cost per frame does not grow with
+    the number of frames buffered.
+    """
 
     def __init__(self):
         self._buf = bytearray()
 
     def feed(self, data: bytes) -> list[Frame]:
-        self._buf.extend(data)
+        buf = self._buf
+        buf.extend(data)
         frames = []
-        while True:
-            if len(self._buf) < _LEN.size:
-                break
-            (n,) = _LEN.unpack_from(self._buf)
+        pos, end = 0, len(buf)
+        while end - pos >= _LEN.size:
+            (n,) = _LEN.unpack_from(buf, pos)
             if _LEN.size + n > MAX_FRAME:
                 raise FrameError(f"incoming frame exceeds {MAX_FRAME} bytes")
-            if len(self._buf) < _LEN.size + n:
+            stop = pos + _LEN.size + n
+            if stop > end:
                 break
-            raw = bytes(self._buf[: _LEN.size + n])
-            del self._buf[: _LEN.size + n]
-            frames.append(frame_decode(raw))
+            frames.append(frame_decode(bytes(buf[pos:stop])))
+            pos = stop
+        del buf[:pos]
         return frames
 
 

@@ -65,15 +65,29 @@ PROFILES: dict[str, DeviceProfile] = {
 PROFILES["ipmi"] = PROFILES["dell_idrac6"]
 
 
+_FAST_Q_LIMIT = 2.0 ** 52  # below it, k + 0.5 and k + 1 are floats for every k
+
+
 def quantize(watts: float, precision_w: float) -> float:
     """Snap a reading to the nearest multiple of the device precision.
 
     Ties round away from zero (a 7.5 W reading on a 1 W meter reports 8 W).
-    The quotient is taken exactly so binary representation error in the
-    precision cannot manufacture or hide a tie.
+    The result is that of the exact rational quotient, so binary
+    representation error in the precision cannot manufacture or hide a
+    tie.  Float rounding is monotone and every tie ``k + 0.5`` and every
+    ``k + 1`` below ``_FAST_Q_LIMIT`` is a float, so ``q + 0.5`` computed
+    in floats lies on the same side of each integer as the exact value, or
+    lands on the integer itself; only then is the tie settled with
+    ``Fraction``.
     """
     if precision_w <= 0:
         raise ValueError("precision_w must be positive")
+    q = abs(watts) / precision_w
+    if q < _FAST_Q_LIMIT:  # also False for inf and nan
+        h = q + 0.5
+        steps = math.floor(h)
+        if h != steps:
+            return math.copysign(steps * precision_w, watts)
     steps = math.floor(abs(Fraction(watts)) / Fraction(precision_w) + Fraction(1, 2))
     return math.copysign(steps * precision_w, watts)
 

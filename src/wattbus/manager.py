@@ -2,10 +2,13 @@
 
 One scheduler thread paces the whole fleet (one driver spec per IPMI card,
 one per PDU): when a spec comes due it reads the device, quantizes to the
-device precision, optionally signs, and publishes one frame per outlet.  A
-watchdog sweep on the same thread restarts dead drivers; a driver that
-keeps dying without ever publishing again is quarantined so a broken probe
-cannot hog the manager forever.
+device precision, optionally signs, and publishes one frame per outlet.
+Like a kernel timer with slack, the thread may sleep up to 1 % of the
+fleet's shortest interval past a tick's due time, and one wake serves every
+tick that came due within that window, so a staggered fleet does not wake
+it once per device.  A watchdog sweep on the same thread restarts dead
+drivers; a driver that keeps dying without ever publishing again is
+quarantined so a broken probe cannot hog the manager forever.
 
 Measurements lost to device timeouts are counted, never silently ignored:
 wattmeters report instantaneous W, not cumulative kWh, so a missed sample
@@ -126,6 +129,13 @@ class DriverManager:
     publication counts); daemon mode leaves it None.  ``stagger`` spreads
     driver start times across one interval so a large fleet does not
     publish in lockstep.
+
+    When the head is not yet due the thread sleeps until ``due + slack``,
+    with the slack 1 % of the fleet's shortest interval, then runs every
+    entry that is due: no tick runs early, none waits longer than one slack
+    plus the run time of the ticks ahead of it, and lateness never
+    accumulates.  Measurements are stamped at poll time, so a late tick
+    carries its true timestamp into the energy integral.
     """
 
     def __init__(self, probes: list[DriverSpec], publisher,
@@ -137,6 +147,7 @@ class DriverManager:
                  status_path: str | None = None,
                  device_factory=make_device):
         self._slots = {spec.topic: _DriverSlot(spec) for spec in probes}
+        self._slack_s = 0.01 * min((s.interval_s for s in probes), default=0.0)
         self._publisher = publisher
         self._secret = secret
         self._device_factory = device_factory
@@ -224,7 +235,7 @@ class DriverManager:
             due, _, slot = self._heap[0]
             delay = due - time.monotonic()
             if delay > 0:
-                if self._stop.wait(delay):
+                if self._stop.wait(delay + self._slack_s):
                     return
                 continue
             if self._stop.is_set():

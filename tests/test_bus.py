@@ -10,12 +10,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from wattbus.bus import (
+    MAX_FRAME,
     Endpoint,
     Frame,
     FrameError,
     InprocChannel,
     Publisher,
     Subscriber,
+    _FrameBuffer,
     frame_decode,
     frame_encode,
     match_prefix,
@@ -72,6 +74,46 @@ class TestFrameCodec:
     def test_round_trip(self, topic, payload):
         f = Frame(topic, payload)
         assert frame_decode(frame_encode(f)) == f
+
+
+frames_strategy = st.lists(
+    st.builds(
+        Frame,
+        st.text(max_size=30).filter(lambda s: "\x00" not in s),
+        st.binary(max_size=300),
+    ),
+    max_size=40,
+)
+
+
+class TestFrameBuffer:
+    @settings(deadline=None)
+    @given(frames_strategy, st.data())
+    def test_any_chunking_yields_the_same_frames(self, frames, data):
+        stream = b"".join(frame_encode(f) for f in frames)
+        cuts = sorted(data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(stream)), max_size=60)))
+        if stream and data.draw(st.booleans()):
+            cuts = list(range(len(stream) + 1))  # every chunk one byte long
+        buf = _FrameBuffer()
+        got = []
+        for a, b in zip([0] + cuts, cuts + [len(stream)]):
+            got += buf.feed(stream[a:b])
+        assert got == frames
+        assert buf.feed(b"") == []
+
+    def test_oversize_length_header_rejected(self):
+        good = frame_encode(Frame("t/p", b"x"))
+        body_limit = MAX_FRAME - 4  # the header counts toward MAX_FRAME
+        at_limit = body_limit.to_bytes(4, "big")
+        oversize = (body_limit + 1).to_bytes(4, "big")
+        assert _FrameBuffer().feed(good + at_limit) == [Frame("t/p", b"x")]
+        with pytest.raises(FrameError):
+            _FrameBuffer().feed(oversize)
+        buf = _FrameBuffer()
+        assert buf.feed(good + oversize[:2]) == [Frame("t/p", b"x")]
+        with pytest.raises(FrameError):
+            buf.feed(oversize[2:])  # the header completed by the next chunk
 
 
 class TestMatchPrefix:

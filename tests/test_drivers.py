@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from wattbus.bus import InprocChannel
@@ -47,6 +47,19 @@ def nearest_multiple_oracle(x: float, p: float) -> float:
     return best_k * p
 
 
+PRECISIONS = [0.01, 0.1, 0.125, 1.0, 7.0, 3.3]
+
+
+@st.composite
+def near_ties(draw):
+    """``(x, p)`` with x at ``(k + 0.5) * p`` or one float step either side."""
+    p = draw(st.sampled_from(PRECISIONS))
+    bound = int(1e6 / p)
+    x = (draw(st.integers(min_value=-bound, max_value=bound)) + 0.5) * p
+    side = draw(st.sampled_from([-math.inf, None, math.inf]))
+    return (x if side is None else math.nextafter(x, side)), p
+
+
 class TestQuantize:
     def test_integer_precision(self):
         assert quantize(7.3, 1) == 7
@@ -69,12 +82,18 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(1.0, 0)
 
-    @settings(max_examples=500, deadline=None)
-    @given(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        st.sampled_from([0.01, 0.1, 0.125, 1.0, 7.0, 3.3]),
-    )
-    def test_matches_brute_force_oracle(self, x, p):
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(
+        st.tuples(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            st.sampled_from(PRECISIONS),
+        ),
+        near_ties(),
+    ))
+    @example((math.nextafter(0.15, 0.0), 0.1))
+    @example((math.nextafter(0.15, 1.0), 0.1))
+    def test_matches_brute_force_oracle(self, case):
+        x, p = case
         assert quantize(x, p) == nearest_multiple_oracle(x, p)
 
 
@@ -355,6 +374,46 @@ class TestDriverManager:
             manager.stop()
         assert peak - before <= 1
         assert [s.published for s in manager.statuses()] == [3] * 1000
+
+    def test_scheduler_coalesces_wakes(self):
+        interval = 1.0
+        reads = []  # (k, monotonic time the device was made, time of read k)
+
+        class Timed:
+            def __init__(self, device):
+                self.device, self.made, self.k = device, time.monotonic(), 0
+
+            def read(self, now):
+                reads.append((self.k, self.made, time.monotonic()))
+                self.k += 1
+                return self.device.read(now)
+
+        def timed_factory(spec, start):
+            return Timed(make_device(spec, start))
+
+        manager = DriverManager(ipmi_specs(1000, interval=interval),
+                                InprocChannel(), max_ticks=3,
+                                watchdog_period_s=60.0,
+                                device_factory=timed_factory)
+        wait = manager._stop.wait
+        waits = 0
+
+        def counting_wait(timeout=None):
+            nonlocal waits
+            waits += 1
+            return wait(timeout)
+
+        manager._stop.wait = counting_wait
+        manager.start()
+        try:
+            assert manager.wait_finished(timeout=30.0)
+        finally:
+            manager.stop()
+        ticks = sum(s.ticks for s in manager.statuses())
+        assert ticks == 3000
+        assert waits <= ticks / 5
+        assert len(reads) == ticks
+        assert all(t >= made + k * interval for k, made, t in reads)
 
     def test_status_file(self, tmp_path):
         path = tmp_path / "status.jsonl"
