@@ -16,16 +16,12 @@ identity service with the same 401 semantics.
 from __future__ import annotations
 
 import hmac
-import json
 import logging
 import re
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from wattbus.bus import Endpoint, Subscriber
+from wattbus.consumer import ConsumerHandler, ConsumerServer
 from wattbus.energy import MeterState, gap_limits_from_probes
-from wattbus.model import DecodeError, decode_measurement
+from wattbus.model import Measurement, decode_measurement
 
 log = logging.getLogger(__name__)
 
@@ -60,33 +56,21 @@ class StaticTokenValidator(TokenValidator):
 _PROBE_PATH = re.compile(r"^/v1/probes/([^/]+)/([^/]+)/?$")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _Handler(ConsumerHandler):
     server_version = "wattbus-api"
 
-    def log_message(self, fmt, *args):  # route through logging, not stderr
-        log.debug("%s %s", self.address_string(), fmt % args)
-
-    def _reply(self, code: int, body: dict) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
     def do_GET(self):
-        server: ApiServer = self.server.api  # type: ignore[attr-defined]
+        server: ApiServer = self.server.consumer  # type: ignore[attr-defined]
         if not server.validator.validate(self.headers.get(AUTH_HEADER)):
-            self._reply(401, {"error": "invalid or missing token"})
+            self._reply_json(401, {"error": "invalid or missing token"})
             return
         path = self.path.split("?", 1)[0]
         if path in ("/v1/probes", "/v1/probes/"):
-            self._reply(200, {"probes": server.state.snapshot()})
+            self._reply_json(200, {"probes": server.state.snapshot()})
             return
         if path in ("/v1/status", "/v1/status/"):
             c = server.state.counters()
-            self._reply(200, {
+            self._reply_json(200, {
                 "ingested": c.ingested,
                 "rejected": c.rejected,
                 "malformed": c.malformed,
@@ -100,88 +84,39 @@ class _Handler(BaseHTTPRequestHandler):
         if match:
             record = server.state.get(f"{match.group(1)}/{match.group(2)}")
             if record is None:
-                self._reply(404, {"error": "unknown probe"})
+                self._reply_json(404, {"error": "unknown probe"})
             else:
-                self._reply(200, record)
+                self._reply_json(200, record)
             return
-        self._reply(400, {"error": "malformed path"})
+        self._reply_json(400, {"error": "malformed path"})
 
 
-class ApiServer:
-    """HTTP front plus optional bus ingest and stale eviction threads."""
+class ApiServer(ConsumerServer):
+    """REST front over a MeterState; the periodic task evicts stale probes."""
+
+    handler = _Handler
+    name = "api"
 
     def __init__(self, state: MeterState, listen: tuple[str, int],
                  validator: TokenValidator,
                  stale_timeout_s: float = 300.0,
                  eviction_period_s: float | None = None):
-        self.state = state
-        self.validator = validator
-        self._stale_timeout_s = stale_timeout_s
         if eviction_period_s is None:
             eviction_period_s = max(min(stale_timeout_s / 4.0, 30.0), 0.05)
-        self._eviction_period_s = eviction_period_s
-        self._httpd = ThreadingHTTPServer(listen, _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.api = self  # type: ignore[attr-defined]
-        self._threads: list[threading.Thread] = []
-        self._subscriber: Subscriber | None = None
-        self._stop = threading.Event()
+        super().__init__(state, listen, eviction_period_s)
+        self.validator = validator
+        self._stale_timeout_s = stale_timeout_s
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._httpd.server_address[:2]
+    def decode(self, payload: bytes) -> Measurement:
+        return decode_measurement(payload)  # looked up per call: a wrapper set on the module applies
 
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self, subscribe: Endpoint | None = None, prefix: str = "") -> None:
-        t = threading.Thread(target=self._httpd.serve_forever,
-                             name="api-http", daemon=True)
-        t.start()
-        self._threads.append(t)
-        if subscribe is not None:
-            self._subscriber = Subscriber(subscribe, prefix)
-            ingest = threading.Thread(target=self._ingest_loop,
-                                      name="api-ingest", daemon=True)
-            ingest.start()
-            self._threads.append(ingest)
-        evictor = threading.Thread(target=self._eviction_loop,
-                                   name="api-evict", daemon=True)
-        evictor.start()
-        self._threads.append(evictor)
-        log.info("API listening on %s", self.url)
-
-    def _ingest_loop(self) -> None:
-        assert self._subscriber is not None
-        for frame in self._subscriber:
-            try:
-                m = decode_measurement(frame.payload)
-            except DecodeError as exc:
-                self.state.count_malformed()
-                log.warning("undecodable payload on %r: %s", frame.topic, exc)
-                continue
-            self.state.ingest(m)
-
-    def _eviction_loop(self) -> None:
-        while not self._stop.wait(self._eviction_period_s):
-            evicted = self.state.evict_stale(timeout_s=self._stale_timeout_s)
-            for probe in evicted:
-                log.info("evicted stale probe %s", probe)
-
-    def close(self) -> None:
-        self._stop.set()
-        if self._subscriber is not None:
-            self._subscriber.close()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        for t in self._threads:
-            t.join(timeout=5.0)
+    def periodic(self) -> None:
+        for probe in self.state.evict_stale(timeout_s=self._stale_timeout_s):
+            log.info("evicted stale probe %s", probe)
 
 
-def run_api(cfg) -> None:
-    """Run the REST API consumer until interrupted (CLI entry)."""
+def start_api(cfg) -> tuple:
+    """Start the REST API consumer (CLI entry); return what to close."""
     state = MeterState(
         secret=cfg.signing_secret,
         gap_limit_s=cfg.api.gap_limit_s,
@@ -191,10 +126,4 @@ def run_api(cfg) -> None:
         state, cfg.api.listen, StaticTokenValidator(cfg.api.tokens),
         stale_timeout_s=cfg.api.stale_timeout_s)
     server.start(subscribe=cfg.connect)
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
+    return (server.close,)

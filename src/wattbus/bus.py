@@ -18,7 +18,10 @@ Each subscriber connection has a bounded outgoing queue.  A slow consumer
 overflows only its own queue: the oldest frames are dropped for that
 connection (counted in ``drops``) and other subscribers are unaffected.
 Delivery per connection is handled by a dedicated writer thread, so
-per-publisher FIFO order is preserved end to end.
+per-publisher FIFO order is preserved end to end.  A ``Subscriber`` stops
+reading its socket while ``SUBSCRIBER_QUEUE_FRAMES`` frames wait in its
+local queue, so a consumer that stalls pushes back through TCP into that
+publisher queue, where the overflow is dropped and counted.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ MAX_FRAME = 64 * 1024  # total encoded size, length header included
 _LEN = struct.Struct(">I")
 
 HANDSHAKE_TOPIC = "SUB"
+
+SUBSCRIBER_QUEUE_FRAMES = 10_000  # a Subscriber's local bound, the publisher's default
 
 
 class FrameError(ValueError):
@@ -453,6 +458,7 @@ class _FrameQueue:
         self._queue: deque[Frame] = deque(maxlen=maxlen)
         self._cond = threading.Condition()
         self._closed = False
+        self._producer_waiting = False  # set by a producer that waits for room
         self.frames_received = 0
         self.drops = 0
 
@@ -486,6 +492,9 @@ class _FrameQueue:
                     if remaining <= 0:
                         return None
                     self._cond.wait(remaining)
+            if self._producer_waiting:
+                self._producer_waiting = False
+                self._cond.notify_all()
             return self._queue.popleft()
 
     def __iter__(self):
@@ -509,7 +518,11 @@ class Subscriber(_FrameQueue):
     retrying).
 
     Iterate over the instance, or call ``get(timeout)`` which returns None
-    on timeout and after close.  The local queue is unbounded.
+    on timeout and after close.  While ``SUBSCRIBER_QUEUE_FRAMES`` frames
+    wait in the local queue the reader does not call ``recv``; the queue
+    then holds at most that bound plus one ``recv`` worth of frames, and
+    the overflow is dropped and counted by the publisher.  ``drops`` stays
+    0: no frame is discarded here.
     """
 
     def __init__(self, endpoint: Endpoint, prefix: str = "",
@@ -575,6 +588,7 @@ class Subscriber(_FrameQueue):
         buf = _FrameBuffer()
         sock.settimeout(0.5)
         while not self._closed:
+            self._wait_for_room()
             try:
                 data = sock.recv(65536)
             except socket.timeout:
@@ -590,6 +604,13 @@ class Subscriber(_FrameQueue):
                 return
             if frames:
                 self._put(frames)
+
+    def _wait_for_room(self) -> None:
+        """Block while the local queue is full; ``get`` wakes us."""
+        with self._cond:
+            while len(self._queue) >= SUBSCRIBER_QUEUE_FRAMES and not self._closed:
+                self._producer_waiting = True
+                self._cond.wait()
 
     def _interruptible_sleep(self, seconds: float) -> bool:
         """Sleep in small slices; True if closed meanwhile."""

@@ -7,6 +7,9 @@
     wattbus bench     --scenario NAME|FILE --out results.json
     wattbus bench     --sweep 0.2,0.4,0.6,0.8,1.0 --out results.json
     wattbus pollster  --api URL --token TOKEN --sink FILE [--period S]
+
+The four daemons (drivers, api, viz, forwarder) run until SIGINT or
+SIGTERM, then close what they started, in order.
 """
 
 from __future__ import annotations
@@ -14,16 +17,18 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import signal
 import sys
+import threading
 from dataclasses import replace
 
 from wattbus import bench
-from wattbus.api import run_api
+from wattbus.api import start_api
 from wattbus.config import ConfigError, load_config
-from wattbus.forwarder import run_forwarder
-from wattbus.manager import DEFAULT_WATCHDOG_PERIOD_S, run_manager
+from wattbus.forwarder import start_forwarder
+from wattbus.manager import DEFAULT_WATCHDOG_PERIOD_S, start_manager
 from wattbus.pollster import run_pollster
-from wattbus.viz import run_viz
+from wattbus.viz import start_viz
 
 
 def _add_config_arg(parser: argparse.ArgumentParser) -> None:
@@ -116,6 +121,24 @@ def _run_bench(args) -> int:
     return 0
 
 
+def _serve(*closers) -> None:
+    """Run a started daemon until SIGINT or SIGTERM, then call ``closers`` in order.
+
+    Both signals are handled even when the process inherited SIGINT as
+    ignored, as a job started with ``&`` from a non-interactive shell does.
+    """
+    stop = threading.Event()
+    previous = {sig: signal.signal(sig, lambda signum, frame: stop.set())
+                for sig in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        stop.wait()
+    finally:
+        for close in closers:
+            close()
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -125,18 +148,18 @@ def main(argv=None) -> int:
     try:
         if args.command == "drivers":
             cfg = load_config(args.config)
-            run_manager(cfg, watchdog_period_s=args.watchdog_period,
-                        status_path=args.status_file)
+            _serve(*start_manager(cfg, watchdog_period_s=args.watchdog_period,
+                                  status_path=args.status_file))
         elif args.command == "api":
-            run_api(load_config(args.config))
+            _serve(*start_api(load_config(args.config)))
         elif args.command == "viz":
-            run_viz(load_config(args.config))
+            _serve(*start_viz(load_config(args.config)))
         elif args.command == "forwarder":
             cfg = load_config(args.config)
             if cfg.forwarder is None:
                 print("config has no [forwarder] section", file=sys.stderr)
                 return 2
-            run_forwarder(cfg.forwarder)
+            _serve(*start_forwarder(cfg.forwarder))
         elif args.command == "bench":
             return _run_bench(args)
         elif args.command == "pollster":

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 from dataclasses import dataclass
 
 from wattbus.bus import Endpoint, Publisher, Subscriber
@@ -87,15 +86,9 @@ class Forwarder:
         self.publisher.close()
 
 
-def run_forwarder(cfg: ForwarderConfig) -> None:
-    """Run a forwarder until interrupted (CLI entry)."""
+def start_forwarder(cfg: ForwarderConfig) -> tuple:
+    """Start a forwarder (CLI entry); return what to close."""
     fwd = Forwarder(cfg)
     log.info("forwarding %d upstream(s) to %s",
              len(cfg.upstreams), cfg.downstream_bind)
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        fwd.close()
+    return (fwd.close,)

@@ -26,7 +26,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from wattbus.bus import Frame
+from wattbus.bus import Frame, Publisher
 from wattbus.devices import DeviceTimeout, DriverSpec, make_device, quantize
 from wattbus.model import Measurement, encode_measurement
 from wattbus.signing import sign
@@ -329,22 +329,13 @@ class DriverManager:
         os.replace(tmp, self._status_path)
 
 
-def run_manager(cfg, watchdog_period_s: float = DEFAULT_WATCHDOG_PERIOD_S,
-                status_path: str | None = None) -> None:
-    """Run the driver fleet until interrupted (CLI entry)."""
-    from wattbus.bus import Publisher  # local import keeps module deps one-way
-
+def start_manager(cfg, watchdog_period_s: float = DEFAULT_WATCHDOG_PERIOD_S,
+                  status_path: str | None = None) -> tuple:
+    """Start the driver fleet (CLI entry); return what to close, in order."""
     publisher = Publisher(cfg.bind)
     manager = DriverManager(
         cfg.probes, publisher, secret=cfg.signing_secret,
         watchdog_period_s=watchdog_period_s, status_path=status_path)
     manager.start()
     log.info("publishing on %s", publisher.endpoint)
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        manager.stop()
-        publisher.close()
+    return manager.stop, publisher.close

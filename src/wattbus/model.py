@@ -19,7 +19,9 @@ _HEX_RE = re.compile(r"^[0-9a-f]+$")
 class DecodeError(ValueError):
     """Raised when a payload cannot be decoded into a Measurement.
 
-    ``field`` names the offending key when it can be identified.
+    ``field`` names the offending wire key when it can be identified.
+    ``Measurement`` raises it too, for an invalid field, so a payload's
+    values are checked in one place.
     """
 
     def __init__(self, message: str, field: str | None = None):
@@ -65,15 +67,15 @@ class ProbeId:
         return self.topic
 
 
-def _check_number(label: str, value, minimum: float, strict: bool) -> None:
+def _check_number(key: str, value, minimum: float, strict: bool) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{label} must be a number, got {type(value).__name__}")
+        raise DecodeError(f"{key} must be a number, got {type(value).__name__}", key)
     if not math.isfinite(value):
-        raise ValueError(f"{label} must be finite")
+        raise DecodeError(f"{key} must be finite", key)
     if strict and value <= minimum:
-        raise ValueError(f"{label} must be > {minimum}")
+        raise DecodeError(f"{key} must be > {minimum}", key)
     if not strict and value < minimum:
-        raise ValueError(f"{label} must be >= {minimum}")
+        raise DecodeError(f"{key} must be >= {minimum}", key)
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,9 @@ class Measurement:
     signed messages.
 
     Values are not coerced to float: an integer timestamp encodes as an
-    integer, which keeps encode/decode byte-exact in both directions.
+    integer, which keeps encode/decode byte-exact in both directions.  An
+    invalid field raises ``DecodeError`` (a ``ValueError``) naming its wire
+    key: ``timestamp``, ``w``, ``v``, ``a`` or ``signature``.
     """
 
     probe: ProbeId
@@ -99,13 +103,14 @@ class Measurement:
 
     def __post_init__(self):
         _check_number("timestamp", self.timestamp, 0, strict=True)
-        _check_number("watts", self.watts, 0, strict=False)
+        _check_number("w", self.watts, 0, strict=False)
         if self.volts is not None:
-            _check_number("volts", self.volts, 0, strict=False)
+            _check_number("v", self.volts, 0, strict=False)
         if self.amps is not None:
-            _check_number("amps", self.amps, 0, strict=False)
-        if self.signature is not None and not _HEX_RE.match(self.signature):
-            raise ValueError("signature must be a lowercase hex string")
+            _check_number("a", self.amps, 0, strict=False)
+        sig = self.signature
+        if sig is not None and not (isinstance(sig, str) and _HEX_RE.match(sig)):
+            raise DecodeError("signature must be a lowercase hex string", "signature")
 
     def without_signature(self) -> "Measurement":
         if self.signature is None:
@@ -138,6 +143,7 @@ def decode_measurement(b: bytes) -> Measurement:
 
     Unknown keys are tolerated; missing mandatory keys, malformed probe
     topics and out-of-range numbers raise DecodeError naming the field.
+    The values are checked once, by ``Measurement``.
     """
     try:
         obj = json.loads(b.decode("utf-8"))
@@ -157,28 +163,15 @@ def decode_measurement(b: bytes) -> Measurement:
     except ValueError as exc:
         raise DecodeError(str(exc), field="probe") from exc
 
-    def number(key: str, minimum: float, strict: bool):
-        try:
-            _check_number(key, obj[key], minimum, strict)
-        except ValueError as exc:
-            raise DecodeError(str(exc), field=key) from exc
-        return obj[key]
-
-    timestamp = number("timestamp", 0, strict=True)
-    watts = number("w", 0, strict=False)
-    volts = number("v", 0, strict=False) if "v" in obj else None
-    amps = number("a", 0, strict=False) if "a" in obj else None
-
-    signature = obj.get("signature")
-    if signature is not None:
-        if not isinstance(signature, str) or not _HEX_RE.match(signature):
-            raise DecodeError("signature must be a lowercase hex string", field="signature")
+    for key in ("v", "a"):
+        if key in obj and obj[key] is None:  # absent optionals are omitted, never null
+            raise DecodeError(f"{key} must be a number, got NoneType", key)
 
     return Measurement(
         probe=probe,
-        timestamp=timestamp,
-        watts=watts,
-        volts=volts,
-        amps=amps,
-        signature=signature,
+        timestamp=obj["timestamp"],
+        watts=obj["w"],
+        volts=obj.get("v"),
+        amps=obj.get("a"),
+        signature=obj.get("signature"),
     )

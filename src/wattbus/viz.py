@@ -19,15 +19,13 @@ import logging
 import os
 import re
 import threading
-import time
 from dataclasses import asdict, dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from wattbus.bus import Endpoint, Subscriber
 from wattbus.config import ArchiveDef, VizConfig
+from wattbus.consumer import ConsumerHandler, ConsumerServer
 from wattbus.energy import WS_PER_KWH
-from wattbus.model import DecodeError, Measurement, ProbeId, decode_measurement
+from wattbus.model import Measurement, ProbeId, decode_measurement
 from wattbus.rra import RoundRobinArchive
 from wattbus.signing import verify
 
@@ -323,25 +321,11 @@ _CHART_PATH = re.compile(r"^/charts/([^/]+)/([^/]+)\.svg$")
 _STATS_PATH = re.compile(r"^/stats/([^/]+)/([^/]+)/?$")
 
 
-class _VizHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _VizHandler(ConsumerHandler):
     server_version = "wattbus-viz"
 
-    def log_message(self, fmt, *args):
-        log.debug("%s %s", self.address_string(), fmt % args)
-
-    def _reply(self, code: int, body: bytes, content_type: str) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_json(self, code: int, obj: dict) -> None:
-        self._reply(code, json.dumps(obj).encode("utf-8"), "application/json")
-
     def do_GET(self):
-        state: VizState = self.server.viz  # type: ignore[attr-defined]
+        state: VizState = self.server.consumer.state  # type: ignore[attr-defined]
         url = urlparse(self.path)
         query = parse_qs(url.query)
 
@@ -377,77 +361,30 @@ class _VizHandler(BaseHTTPRequestHandler):
         self._reply_json(400, {"error": "malformed path"})
 
 
-class VizServer:
-    """HTTP front plus optional bus ingest and periodic archive flushing."""
+class VizServer(ConsumerServer):
+    """Chart front over a VizState; the periodic task, and close, flush the archives."""
+
+    handler = _VizHandler
+    name = "viz"
 
     def __init__(self, state: VizState, listen: tuple[str, int],
                  flush_period_s: float = 30.0):
-        self.state = state
-        self._flush_period_s = flush_period_s
-        self._httpd = ThreadingHTTPServer(listen, _VizHandler)
-        self._httpd.daemon_threads = True
-        self._httpd.viz = state  # type: ignore[attr-defined]
-        self._threads: list[threading.Thread] = []
-        self._subscriber: Subscriber | None = None
-        self._stop = threading.Event()
+        super().__init__(state, listen, flush_period_s)
 
-    @property
-    def url(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
+    def decode(self, payload: bytes) -> Measurement:
+        return decode_measurement(payload)  # looked up per call: a wrapper set on the module applies
 
-    def start(self, subscribe: Endpoint | None = None, prefix: str = "") -> None:
-        t = threading.Thread(target=self._httpd.serve_forever,
-                             name="viz-http", daemon=True)
-        t.start()
-        self._threads.append(t)
-        if subscribe is not None:
-            self._subscriber = Subscriber(subscribe, prefix)
-            ingest = threading.Thread(target=self._ingest_loop,
-                                      name="viz-ingest", daemon=True)
-            ingest.start()
-            self._threads.append(ingest)
-        flusher = threading.Thread(target=self._flush_loop,
-                                   name="viz-flush", daemon=True)
-        flusher.start()
-        self._threads.append(flusher)
-        log.info("viz listening on %s", self.url)
-
-    def _ingest_loop(self) -> None:
-        assert self._subscriber is not None
-        for frame in self._subscriber:
-            try:
-                m = decode_measurement(frame.payload)
-            except DecodeError as exc:
-                self.state.count_malformed()
-                log.warning("undecodable payload on %r: %s", frame.topic, exc)
-                continue
-            self.state.ingest(m)
-
-    def _flush_loop(self) -> None:
-        while not self._stop.wait(self._flush_period_s):
-            self.state.flush()
+    def periodic(self) -> None:
+        self.state.flush()
 
     def close(self) -> None:
-        self._stop.set()
-        if self._subscriber is not None:
-            self._subscriber.close()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        for t in self._threads:
-            t.join(timeout=5.0)
+        super().close()
         self.state.flush()
 
 
-def run_viz(cfg) -> None:
-    """Run the visualization consumer until interrupted (CLI entry)."""
+def start_viz(cfg) -> tuple:
+    """Start the visualization consumer (CLI entry); return what to close."""
     state = VizState(cfg.viz, secret=cfg.signing_secret)
     server = VizServer(state, cfg.viz.listen)
     server.start(subscribe=cfg.connect)
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
+    return (server.close,)

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 
 from wattbus.bus import (
     MAX_FRAME,
+    SUBSCRIBER_QUEUE_FRAMES,
     Endpoint,
     Frame,
     FrameError,
@@ -313,6 +314,35 @@ class TestTcpPubSub:
             stuck.close()
         finally:
             pub.close(drain_timeout=0.5)  # the stuck conn can never drain
+
+    def test_stalled_subscriber_is_bounded_and_pushes_back(self):
+        # a real Subscriber whose consumer never calls get(): its reader
+        # must stop at the local bound so the overflow lands in the
+        # publisher's queue, where it is dropped and counted
+        pub = Publisher(loopback(), queue_size=1_000)
+        sub = Subscriber(pub.endpoint, "")
+        try:
+            assert wait_until(lambda: pub.subscriber_count == 1)
+            total = 50_000
+            for i in range(total):
+                pub.publish(Frame("s/p", b"%08d" % i + b"x" * 100))
+            per_recv = 65536 // len(frame_encode(Frame("s/p", b"0" * 108))) + 1
+            last = -1
+            while len(sub._queue) != last:  # settled: the reader is held back
+                last = len(sub._queue)
+                time.sleep(0.5)
+            assert last <= SUBSCRIBER_QUEUE_FRAMES + per_recv
+            assert pub.drops > 0
+
+            seqs = []
+            while (f := sub.get(timeout=2.0)) is not None:
+                seqs.append(int(f.payload[:8]))
+            assert seqs == sorted(set(seqs))  # in publish order, no repeats
+            assert len(seqs) + pub.drops == total
+            assert sub.drops == 0
+        finally:
+            sub.close()
+            pub.close(drain_timeout=0.5)
 
     def test_publish_concurrent_producers(self):
         pub = Publisher(loopback())

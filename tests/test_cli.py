@@ -2,9 +2,11 @@
 
 import json
 import signal
+import socket
 import subprocess
 import sys
 import time
+import urllib.request
 
 import pytest
 
@@ -46,29 +48,94 @@ def test_bench_rejects_bad_sweep(tmp_path):
                  "--out", str(tmp_path / "r.json")]) == 2
 
 
-def test_drivers_daemon_runs_and_stops(tmp_path):
+def _daemon(args, ignore_sigint=False):
+    """Start ``wattbus ARGS``; with ``ignore_sigint`` it inherits SIGINT as
+    ignored, as a job started with ``&`` from a non-interactive shell does."""
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN) if ignore_sigint else None
+    try:
+        return subprocess.Popen([sys.executable, "-m", "wattbus.cli", *args],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    finally:
+        if ignore_sigint:
+            signal.signal(signal.SIGINT, previous)
+
+
+def _stop(proc, sig=signal.SIGTERM) -> int:
+    proc.send_signal(sig)
+    try:
+        proc.wait(timeout=10.0)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+    return proc.returncode
+
+
+def _wait_for_status(proc, status) -> None:
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and not status.exists():
+        time.sleep(0.05)
+    assert status.exists(), proc.stderr.read().decode() if proc.poll() else "no status file"
+
+
+@pytest.mark.parametrize("sig, ignore_sigint", [
+    (signal.SIGINT, False), (signal.SIGINT, True), (signal.SIGTERM, False),
+], ids=["SIGINT", "SIGINT-background", "SIGTERM"])
+def test_drivers_daemon_runs_and_stops(tmp_path, sig, ignore_sigint):
+    sock = tmp_path / "bus.sock"
     conf = tmp_path / "d.conf"
     conf.write_text(
         "[bus]\nbind = ipc://{}\n"
-        "[probe:cli/p1]\ndriver = emulated-ipmi\ninterval = 0.1\n".format(
-            tmp_path / "bus.sock"))
+        "[probe:cli/p1]\ndriver = emulated-ipmi\ninterval = 0.1\n".format(sock))
     status = tmp_path / "status.jsonl"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "wattbus.cli", "drivers",
-         "--config", str(conf), "--status-file", str(status),
-         "--watchdog-period", "0.2"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = _daemon(["drivers", "--config", str(conf), "--status-file", str(status),
+                    "--watchdog-period", "0.2"], ignore_sigint)
     try:
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and not status.exists():
-            time.sleep(0.05)
-        assert status.exists(), proc.stderr.read().decode() if proc.poll() else "no status file"
+        _wait_for_status(proc, status)
         rows = [json.loads(l) for l in status.read_text().splitlines()]
         assert rows[0]["topic"] == "cli/p1"
+        assert sock.exists()
     finally:
-        proc.send_signal(signal.SIGINT)
-        try:
-            proc.wait(timeout=10.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-    assert proc.returncode == 0
+        returncode = _stop(proc, sig)
+    assert returncode == 0
+    assert not sock.exists()
+
+
+def _free_port() -> int:
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def test_viz_daemon_flushes_archives_on_sigterm(tmp_path):
+    port, data = _free_port(), tmp_path / "data"
+    conf = tmp_path / "v.conf"
+    conf.write_text(
+        f"[bus]\nbind = ipc://{tmp_path / 'bus.sock'}\n"
+        "[probe:cli/p1]\ndriver = emulated-ipmi\ninterval = 0.1\n"
+        f"[viz]\nlisten = 127.0.0.1:{port}\ndata_dir = {data}\n")
+    status = tmp_path / "status.jsonl"
+    drivers = _daemon(["drivers", "--config", str(conf), "--status-file", str(status),
+                       "--watchdog-period", "0.2"])
+    viz = None
+    try:
+        _wait_for_status(drivers, status)
+        viz = _daemon(["viz", "--config", str(conf)])
+
+        def stats_ok() -> bool:
+            try:
+                with urllib.request.urlopen(
+                        f"http://127.0.0.1:{port}/stats/cli/p1", timeout=1.0) as r:
+                    return r.status == 200
+            except OSError:
+                return False
+
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and not stats_ok():
+            time.sleep(0.05)
+        assert stats_ok(), viz.stderr.read().decode() if viz.poll() else "no samples"
+        assert not list(data.rglob("*.rra"))  # the 30 s flush period has not run
+    finally:
+        viz_code = _stop(viz) if viz is not None else None
+        _stop(drivers)
+    assert viz_code == 0
+    assert len(list((data / "cli" / "p1").glob("*.rra"))) == 3

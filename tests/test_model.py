@@ -116,6 +116,17 @@ class TestDecode:
             decode_measurement(b'{"probe":"s/p","timestamp":1,"w":-2}')
         assert excinfo.value.field == "w"
 
+    @pytest.mark.parametrize("body, field", [
+        (b'"timestamp":1,"w":5,"v":-1', "v"),
+        (b'"timestamp":1,"w":5,"a":null', "a"),
+        (b'"timestamp":1,"w":5,"signature":7', "signature"),
+        (b'"timestamp":1,"w":5,"signature":"ABCD"', "signature"),
+    ])
+    def test_invalid_optional_names_its_wire_key(self, body, field):
+        with pytest.raises(DecodeError) as excinfo:
+            decode_measurement(b'{"probe":"s/p",' + body + b"}")
+        assert excinfo.value.field == field
+
     def test_not_json(self):
         with pytest.raises(DecodeError):
             decode_measurement(b"not json at all")
