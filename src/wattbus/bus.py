@@ -183,9 +183,9 @@ class _FrameBuffer:
 class _SubscriberConn:
     """Publisher-side state for one connected subscriber."""
 
-    def __init__(self, sock: socket.socket, prefix: str, queue_size: int):
+    def __init__(self, sock: socket.socket, prefix: bytes, queue_size: int):
         self.sock = sock
-        self.prefix = prefix
+        self.prefix = prefix  # UTF-8, as the handshake sent it
         self.queue: deque[bytes] = deque()
         self.queue_size = queue_size
         self.cond = threading.Condition()
@@ -317,7 +317,8 @@ class Publisher:
             hello = frames[0]
             if hello.topic != HANDSHAKE_TOPIC:
                 raise FrameError(f"expected {HANDSHAKE_TOPIC} handshake, got {hello.topic!r}")
-            prefix = hello.payload.decode("utf-8")
+            prefix = hello.payload
+            prefix.decode("utf-8")  # a prefix must be text
         except (OSError, FrameError, UnicodeDecodeError) as exc:
             log.warning("rejecting subscriber: %s", exc)
             sock.close()
@@ -344,16 +345,16 @@ class Publisher:
         With no matching subscriber connected, nothing is encoded and no
         bytes are written anywhere.
         """
+        topic = f.topic.encode("utf-8")
         with self._lock:
             self._publish_calls += 1
-            targets = [c for c in self._conns if match_prefix(c.prefix, f.topic)]
+            targets = [c for c in self._conns if topic.startswith(c.prefix)]
+            self._frames_delivered += len(targets)
         if not targets:
             return
         data = frame_encode(f)
         for conn in targets:
             conn.enqueue(data)
-        with self._lock:
-            self._frames_delivered += len(targets)
 
     def _write_loop(self, conn: _SubscriberConn) -> None:
         while True:
@@ -639,6 +640,7 @@ class _InprocSubscription(_FrameQueue):
         super().__init__(maxlen=queue_size)
         self._channel = channel
         self.prefix = prefix
+        self.prefix_bytes = prefix.encode("utf-8")
 
     def close(self) -> None:
         self._channel._unsubscribe(self)
@@ -694,9 +696,10 @@ class InprocChannel:
                 self._subs.remove(sub)
 
     def publish(self, f: Frame) -> None:
+        topic = f.topic.encode("utf-8")
         with self._lock:
             self._publish_calls += 1
-            targets = [s for s in self._subs if match_prefix(s.prefix, f.topic)]
+            targets = [s for s in self._subs if topic.startswith(s.prefix_bytes)]
             self._frames_delivered += len(targets)
         for sub in targets:
             sub._put((f,))

@@ -113,7 +113,8 @@ class ConsumerServer:
         self._stop.set()
         if self._subscriber is not None:
             self._subscriber.close()
-        self._httpd.shutdown()
+        if self._threads:  # shutdown() waits for a serve_forever that start() runs
+            self._httpd.shutdown()
         self._httpd.server_close()
         for t in self._threads:
             t.join(timeout=5.0)

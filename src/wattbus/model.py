@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from json.encoder import encode_basestring
 
-_HEX_RE = re.compile(r"^[0-9a-f]+$")
+_HEX_RE = re.compile(r"[0-9a-f]+")
 
 
 class DecodeError(ValueError):
@@ -109,16 +110,17 @@ class Measurement:
         if self.amps is not None:
             _check_number("a", self.amps, 0, strict=False)
         sig = self.signature
-        if sig is not None and not (isinstance(sig, str) and _HEX_RE.match(sig)):
+        if sig is not None and not (isinstance(sig, str) and _HEX_RE.fullmatch(sig)):
             raise DecodeError("signature must be a lowercase hex string", "signature")
 
     def without_signature(self) -> "Measurement":
         if self.signature is None:
             return self
-        return replace(self, signature=None)
+        return Measurement(self.probe, self.timestamp, self.watts, self.volts, self.amps)
 
     def with_signature(self, signature: str) -> "Measurement":
-        return replace(self, signature=signature)
+        return Measurement(self.probe, self.timestamp, self.watts, self.volts, self.amps,
+                           signature)
 
 
 def encode_measurement(m: Measurement) -> bytes:
@@ -126,16 +128,27 @@ def encode_measurement(m: Measurement) -> bytes:
 
     Keys are alphabetical, optionals are omitted when absent, and there is
     no whitespace, so equal measurements always produce equal bytes (the
-    signing input).
+    signing input).  The bytes are built by hand, in the fixed key order
+    ``a``, ``probe``, ``signature``, ``timestamp``, ``v``, ``w``, with
+    ``json``'s own string escaper and number reprs (``Measurement`` has
+    already rejected bools and non-finite values).  They are pinned to
+    ``json.dumps(obj, sort_keys=True, separators=(",", ":"),
+    ensure_ascii=False)``: any difference would break signatures between
+    versions.
     """
-    obj: dict = {"probe": m.probe.topic, "timestamp": m.timestamp, "w": m.watts}
-    if m.volts is not None:
-        obj["v"] = m.volts
-    if m.amps is not None:
-        obj["a"] = m.amps
+    text = "{" if m.amps is None else '{"a":' + _number(m.amps) + ","
+    text += '"probe":' + encode_basestring(m.probe.topic)
     if m.signature is not None:
-        obj["signature"] = m.signature
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        text += ',"signature":"' + m.signature + '"'
+    text += ',"timestamp":' + _number(m.timestamp)
+    if m.volts is not None:
+        text += ',"v":' + _number(m.volts)
+    return (text + ',"w":' + _number(m.watts) + "}").encode("utf-8")
+
+
+def _number(x) -> str:
+    """``x`` as ``json`` writes it: the base type's repr, even for a subclass."""
+    return float.__repr__(x) if isinstance(x, float) else int.__repr__(x)
 
 
 def decode_measurement(b: bytes) -> Measurement:

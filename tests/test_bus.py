@@ -167,6 +167,20 @@ class TestTcpPubSub:
         finally:
             pub.close()
 
+    def test_non_ascii_prefix_matches_bytewise(self):
+        pub = Publisher(loopback())
+        try:
+            sub = Subscriber(pub.endpoint, "\u00e9")
+            assert wait_until(lambda: pub.subscriber_count == 1)
+            pub.publish(Frame("e/x", b"no"))
+            pub.publish(Frame("\u00e9/x", b"yes"))
+            assert sub.get(timeout=5.0) == Frame("\u00e9/x", b"yes")
+            assert sub.get(timeout=0.3) is None
+            assert (pub.publish_calls, pub.frames_delivered) == (2, 1)
+            sub.close()
+        finally:
+            pub.close()
+
     def test_lazy_publication_zero_subscribers(self):
         pub = Publisher(loopback())
         try:
@@ -397,6 +411,15 @@ class TestInprocChannel:
         chan.publish(Frame("b/p", b"2"))
         assert sub.get(timeout=1.0) == Frame("a/p", b"1")
         assert sub.get(timeout=0.05) is None
+
+    def test_non_ascii_prefix_matches_bytewise(self):
+        chan = InprocChannel()
+        sub = chan.subscribe("\u00e9")
+        chan.publish(Frame("e/x", b"no"))
+        chan.publish(Frame("\u00e9/x", b"yes"))
+        assert sub.get(timeout=1.0) == Frame("\u00e9/x", b"yes")
+        assert sub.get(timeout=0.05) is None
+        assert (chan.publish_calls, chan.frames_delivered) == (2, 1)
 
     def test_lazy_publication(self):
         chan = InprocChannel()

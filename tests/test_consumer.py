@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -52,6 +53,15 @@ def test_ingest_counts_malformed_then_ingests_and_close_ends_threads(tmp_path, m
         pub.close()
     assert len(threads) == 4  # HTTP, ingest, periodic, subscriber reader
     assert not [t.name for t in threads if t.is_alive()]
+
+
+@pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])
+def test_close_without_start_returns(tmp_path, make):
+    server, _counts = make(tmp_path)
+    closer = threading.Thread(target=server.close, daemon=True)
+    closer.start()
+    closer.join(timeout=5.0)
+    assert not closer.is_alive()
 
 
 def test_driver_side_modules_do_not_import_http_server():

@@ -1,6 +1,9 @@
 """Device emulators, quantization, and driver manager supervision."""
 
+import dataclasses
+import json
 import math
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -278,6 +281,31 @@ class TestDriverManager:
             assert verify(decode_measurement(f.payload), secret)
             count += 1
         assert count == 6
+
+    def test_signed_tick_uses_neither_json_dumps_nor_dataclass_replace(self, monkeypatch):
+        # the per-message path builds its bytes and signed copy by hand;
+        # patch every binding of the two, from-imports in wattbus included
+        def forbidden(*args, **kwargs):
+            raise AssertionError("json.dumps or dataclasses.replace on the hot path")
+
+        slow = (json.dumps, dataclasses.replace)
+        monkeypatch.setattr(json, "dumps", forbidden)
+        monkeypatch.setattr(dataclasses, "replace", forbidden)
+        for mod in [m for name, m in sys.modules.items() if name.startswith("wattbus")]:
+            for attr, value in list(vars(mod).items()):
+                if any(value is fn for fn in slow):
+                    monkeypatch.setattr(mod, attr, forbidden)
+        secret = b"unit-test-secret-16"
+        chan = InprocChannel()
+        sub = chan.subscribe("")
+        manager = DriverManager(ipmi_specs(1), chan, secret=secret,
+                                max_ticks=1, watchdog_period_s=60.0)
+        manager.start()
+        assert manager.wait_finished(timeout=10.0)
+        manager.stop()
+        f = sub.get(timeout=1.0)
+        assert f is not None
+        assert verify(decode_measurement(f.payload), secret)
 
     def test_mean_spacing_within_five_percent(self):
         chan = InprocChannel()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from wattbus.model import (
     DecodeError,
@@ -62,6 +63,11 @@ class TestMeasurementValidation:
         with pytest.raises(ValueError):
             Measurement(ProbeId("s", "p"), 1, 0, signature="ABCD")
 
+    def test_signature_with_trailing_newline_rejected(self):
+        with pytest.raises(DecodeError) as excinfo:
+            Measurement(ProbeId("s", "p"), 1, 0, signature="ab\n")
+        assert excinfo.value.field == "signature"
+
 
 class TestEncode:
     def test_basic_payload_bytes(self):
@@ -94,6 +100,69 @@ class TestEncode:
             assert len(encode_measurement(bare)) <= 120
 
 
+def reference_encode(m: Measurement) -> bytes:
+    """The canonical bytes as ``json.dumps`` writes them: the signing input."""
+    obj: dict = {"probe": m.probe.topic, "timestamp": m.timestamp, "w": m.watts}
+    for key, value in (("v", m.volts), ("a", m.amps), ("signature", m.signature)):
+        if value is not None:
+            obj[key] = value
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8")
+
+
+# every character a probe part may hold, with the ones JSON escapes or
+# UTF-8 spreads over several bytes drawn often
+_any_part = st.text(
+    alphabet=st.one_of(
+        st.characters(exclude_categories=["Cs"], exclude_characters="/\x00"),
+        st.sampled_from('"\\\b\f\n\r\t\x01\x1f\x7f\u2028\u00e9\U0001f50c'),
+    ),
+    min_size=1,
+).filter(lambda part: part not in (".", ".."))
+_edge_floats = st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16])
+_any_number = st.one_of(
+    st.integers(min_value=0, max_value=2**64),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+    _edge_floats,
+)
+_any_measurement = st.builds(
+    Measurement,
+    probe=st.builds(ProbeId, site=_any_part, name=_any_part),
+    timestamp=st.one_of(
+        st.integers(min_value=1, max_value=2**64),
+        st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+        st.sampled_from([5e-324, 1.7976931348623157e308]),
+    ),
+    watts=_any_number,
+    volts=st.none() | _any_number,
+    amps=st.none() | _any_number,
+    signature=st.none() | st.text(alphabet="0123456789abcdef", min_size=64, max_size=64),
+)
+
+
+class TestEncoderMatchesJsonDumps:
+    """The hand-built bytes are pinned to the ``json.dumps`` form."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_any_measurement)
+    def test_byte_identical(self, m):
+        assert encode_measurement(m) == reference_encode(m)
+
+    def test_number_subclass_encodes_as_its_base_type(self):
+        class Watts(float):
+            def __repr__(self):
+                return "Watts()"
+
+        m = Measurement(ProbeId("s", "p"), 1, Watts(2.5))
+        assert encode_measurement(m) == reference_encode(m) == (
+            b'{"probe":"s/p","timestamp":1,"w":2.5}')
+
+    def test_lone_surrogate_in_probe_raises(self):
+        m = Measurement(ProbeId("s", "p\ud800"), 1, 0)
+        with pytest.raises(UnicodeEncodeError):
+            encode_measurement(m)
+
+
 class TestDecode:
     def test_minimal_valid_payload(self):
         m = decode_measurement(b'{"probe":"s/p","timestamp":1,"w":0}')
@@ -121,6 +190,7 @@ class TestDecode:
         (b'"timestamp":1,"w":5,"a":null', "a"),
         (b'"timestamp":1,"w":5,"signature":7', "signature"),
         (b'"timestamp":1,"w":5,"signature":"ABCD"', "signature"),
+        (b'"timestamp":1,"w":5,"signature":"ab\\n"', "signature"),
     ])
     def test_invalid_optional_names_its_wire_key(self, body, field):
         with pytest.raises(DecodeError) as excinfo:
