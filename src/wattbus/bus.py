@@ -14,31 +14,40 @@ Filtering happens publisher-side, per connection.  A publish with no
 matching subscriber connected writes nothing anywhere (lazy publication),
 which keeps idle probes off the network entirely.
 
-Each subscriber connection has a bounded outgoing queue.  A slow consumer
-overflows only its own queue: the oldest frames are dropped for that
-connection (counted in ``drops``) and other subscribers are unaffected.
-Delivery per connection is handled by a dedicated writer thread, so
-per-publisher FIFO order is preserved end to end.  A ``Subscriber`` stops
-reading its socket while ``SUBSCRIBER_QUEUE_FRAMES`` frames wait in its
-local queue, so a consumer that stalls pushes back through TCP into that
-publisher queue, where the overflow is dropped and counted.
+``publish`` writes inline with a non-blocking ``send`` from the caller's
+thread, once per subscriber per outermost ``Publisher.batch()``.  Each
+connection has a bounded queue for what its kernel buffer does not take;
+one bus loop thread writes that backlog, accepts, handshakes and notices
+closed subscribers.  A slow consumer overflows only its own queue: the
+oldest frames not yet offered to the kernel are dropped (counted in
+``drops``), and other subscribers are unaffected.  A ``Subscriber``
+stops reading while ``SUBSCRIBER_QUEUE_FRAMES`` frames wait in its local
+queue, so a consumer that stalls pushes back through TCP into that
+publisher queue.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import selectors
 import socket
+import stat
 import struct
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
 
 MAX_FRAME = 64 * 1024  # total encoded size, length header included
 _LEN = struct.Struct(">I")
+# A connection's kernel send buffer, and the most bytes offered to one send.
+# Fixed rather than autotuned (up to 4 MiB on Linux), so that a stalled
+# subscriber soon backs up into the bounded, counted publisher queue.
+_SEND_BUFFER = 256 * 1024
 
 HANDSHAKE_TOPIC = "SUB"
 
@@ -181,230 +190,275 @@ class _FrameBuffer:
 
 
 class _SubscriberConn:
-    """Publisher-side state for one connected subscriber."""
+    """Publisher-side state for one subscriber connection.
 
-    def __init__(self, sock: socket.socket, prefix: bytes, queue_size: int):
+    ``prefix`` is None until the handshake, due by ``deadline``, arrives.
+    """
+
+    def __init__(self, sock: socket.socket, deadline: float):
         self.sock = sock
-        self.prefix = prefix  # UTF-8, as the handshake sent it
-        self.queue: deque[bytes] = deque()
-        self.queue_size = queue_size
-        self.cond = threading.Condition()
-        self.closing = False
-        self.in_flight = False
-        self.drops = 0
-        self.writer: threading.Thread | None = None
+        self.prefix: bytes | None = None  # UTF-8, as the handshake sent it
+        self.handshake = _FrameBuffer()
+        self.deadline = deadline
+        self.queue: deque[bytes] = deque()  # whole frames, none of them written
+        self.tail: bytes | memoryview = b""  # unsent part of the chunk on the wire
+        self.blocked = False  # the kernel buffer filled: the bus loop writes
 
-    def enqueue(self, data: bytes) -> None:
-        with self.cond:
-            if self.closing:
-                return
-            if len(self.queue) >= self.queue_size:
-                self.queue.popleft()
-                self.drops += 1
-            self.queue.append(data)
-            self.cond.notify()
+    def send(self) -> int:
+        """Write the backlog without blocking; return the bytes written.
 
-    def idle(self) -> bool:
-        with self.cond:
-            return not self.queue and not self.in_flight
-
-    def shutdown(self) -> None:
-        with self.cond:
-            self.closing = True
-            self.cond.notify()
-        try:
-            # unblocks a writer stuck in sendall on a consumer that stopped
-            # reading; pending kernel buffers are still delivered (SHUT_WR)
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        Frames leave the queue a send buffer's worth at a time; what the
+        kernel does not take stays in ``tail``, out of the reach of drops,
+        and sets ``blocked``.  Raises OSError when the connection is dead.
+        """
+        written = 0
+        while self.tail or self.queue:
+            if not self.tail:
+                chunk, size = [], 0
+                while self.queue and size < _SEND_BUFFER:
+                    chunk.append(self.queue.popleft())
+                    size += len(chunk[-1])
+                self.tail = memoryview(b"".join(chunk))
+            try:
+                sent = self.sock.send(self.tail)
+            except BlockingIOError:
+                sent = 0
+            written += sent
+            self.tail = self.tail[sent:]
+            if self.tail:
+                self.blocked = True
+                return written
+        self.blocked = False
+        return written
 
 
 class Publisher:
     """Binds an endpoint and fans frames out to prefix-matched subscribers.
 
-    ``publish`` may be called concurrently from many producer threads; each
-    subscriber connection is drained by its own writer thread so one slow
-    consumer cannot stall the others.
+    ``publish`` may be called from many producer threads at once; it sends
+    from the caller's thread, without blocking.  One bus loop thread
+    accepts connections, reads each handshake within ``handshake_timeout``,
+    removes connections that close, and writes for connections whose
+    kernel buffer filled, so one slow consumer cannot stall the others.
     """
 
     def __init__(self, endpoint: Endpoint, queue_size: int = 10_000,
                  handshake_timeout: float = 5.0):
-        self._requested = endpoint
         self._queue_size = queue_size
         self._handshake_timeout = handshake_timeout
         self._lock = threading.Lock()
-        self._conns: list[_SubscriberConn] = []
+        self._idle = threading.Condition(self._lock)  # notified when backlogs empty
+        self._conns: list[_SubscriberConn] = []  # handshaken, in the lock
+        self._handshakes: set[_SubscriberConn] = set()  # the loop's own
         self._closed = False
-        self._bytes_sent = 0
-        self._frames_delivered = 0
-        self._publish_calls = 0
-        self._dropped_total = 0  # drops from connections already removed
+        self._batch = threading.local()  # this thread's batch depth
+        self.bytes_sent = 0
+        self.frames_delivered = 0
+        self.publish_calls = 0
+        self.drops = 0  # frames evicted from full queues, over all connections
 
         self._listen = endpoint._create_socket()
         if endpoint.scheme == "tcp":
             self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         else:
-            self._cleanup_stale_socket(endpoint.path)
-        self._listen.bind(endpoint._address())
+            with suppress(FileNotFoundError):  # a stale socket file from a dead publisher
+                if stat.S_ISSOCK(os.stat(endpoint.path).st_mode):
+                    os.unlink(endpoint.path)
+        try:
+            self._listen.bind(endpoint._address())
+        except OSError:
+            self._listen.close()
+            raise
         self._listen.listen(256)
+        self._listen.setblocking(False)
         if endpoint.scheme == "tcp":
             host, port = self._listen.getsockname()[:2]
             self.endpoint = Endpoint("tcp", host=endpoint.host, port=port)
         else:
             self.endpoint = endpoint
-        self._acceptor = threading.Thread(
-            target=self._accept_loop, name=f"pub-accept-{self.endpoint}", daemon=True)
-        self._acceptor.start()
-
-    @staticmethod
-    def _cleanup_stale_socket(path: str) -> None:
-        try:
-            st = os.stat(path)
-        except FileNotFoundError:
-            return
-        import stat as stat_mod
-        if stat_mod.S_ISSOCK(st.st_mode):
-            os.unlink(path)
-
-    # -- counters ---------------------------------------------------------
-
-    @property
-    def bytes_sent(self) -> int:
-        return self._bytes_sent
-
-    @property
-    def frames_delivered(self) -> int:
-        return self._frames_delivered
-
-    @property
-    def publish_calls(self) -> int:
-        return self._publish_calls
-
-    @property
-    def drops(self) -> int:
-        with self._lock:
-            return self._dropped_total + sum(c.drops for c in self._conns)
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listen, selectors.EVENT_READ, self._accept)
+        self._selector.register(self._wake_r, selectors.EVENT_READ, self._on_wake)
+        self._loop_thread = threading.Thread(
+            target=self._loop, name=f"pub-loop-{self.endpoint}", daemon=True)
+        self._loop_thread.start()
 
     @property
     def subscriber_count(self) -> int:
         with self._lock:
             return len(self._conns)
 
-    # -- accept path ------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _addr = self._listen.accept()
-            except OSError:
-                return  # listen socket closed
-            if self._closed:
-                sock.close()
-                return
-            threading.Thread(target=self._handshake, args=(sock,), daemon=True).start()
-
-    def _handshake(self, sock: socket.socket) -> None:
-        try:
-            sock.settimeout(self._handshake_timeout)
-            buf = _FrameBuffer()
-            frames: list[Frame] = []
-            while not frames:
-                data = sock.recv(4096)
-                if not data:
-                    raise FrameError("connection closed during handshake")
-                frames = buf.feed(data)
-            hello = frames[0]
-            if hello.topic != HANDSHAKE_TOPIC:
-                raise FrameError(f"expected {HANDSHAKE_TOPIC} handshake, got {hello.topic!r}")
-            prefix = hello.payload
-            prefix.decode("utf-8")  # a prefix must be text
-        except (OSError, FrameError, UnicodeDecodeError) as exc:
-            log.warning("rejecting subscriber: %s", exc)
-            sock.close()
-            return
-        sock.settimeout(None)
-        if self.endpoint.scheme == "tcp":
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _SubscriberConn(sock, prefix, self._queue_size)
-        with self._lock:
-            if self._closed:
-                sock.close()
-                return
-            self._conns.append(conn)
-        conn.writer = threading.Thread(
-            target=self._write_loop, args=(conn,), name="pub-writer", daemon=True)
-        conn.writer.start()
-        log.debug("subscriber connected with prefix %r", prefix)
-
     # -- delivery path ----------------------------------------------------
 
     def publish(self, f: Frame) -> None:
-        """Enqueue a frame to every connected subscriber whose prefix matches.
+        """Queue a frame for every connected subscriber whose prefix matches.
 
         With no matching subscriber connected, nothing is encoded and no
-        bytes are written anywhere.
+        bytes are written anywhere.  Outside a ``batch`` the frame is on
+        its way before this returns, or queued behind a full kernel buffer.
         """
         topic = f.topic.encode("utf-8")
         with self._lock:
-            self._publish_calls += 1
+            self.publish_calls += 1
             targets = [c for c in self._conns if topic.startswith(c.prefix)]
-            self._frames_delivered += len(targets)
-        if not targets:
-            return
-        data = frame_encode(f)
-        for conn in targets:
-            conn.enqueue(data)
-
-    def _write_loop(self, conn: _SubscriberConn) -> None:
-        while True:
-            with conn.cond:
-                while not conn.queue and not conn.closing:
-                    conn.cond.wait()
-                if not conn.queue and conn.closing:
-                    break
-                batch = []
-                size = 0
-                while conn.queue and size < 256 * 1024:
-                    item = conn.queue.popleft()
-                    batch.append(item)
-                    size += len(item)
-                conn.in_flight = True
-            data = b"".join(batch)
-            try:
-                conn.sock.sendall(data)
-            except OSError:
-                with conn.cond:
-                    conn.in_flight = False
-                self._remove(conn)
+            if not targets:
                 return
+            self.frames_delivered += len(targets)
+            data = frame_encode(f)
+            for conn in targets:
+                if len(conn.queue) >= self._queue_size:
+                    self._send((conn,))  # a batch drops nothing the socket takes
+                    if len(conn.queue) >= self._queue_size:
+                        conn.queue.popleft()
+                        self.drops += 1
+                conn.queue.append(data)
+            if not getattr(self._batch, "depth", 0):
+                self._send(targets)
+
+    @contextmanager
+    def batch(self):
+        """Defer this thread's sends to the exit of its outermost ``batch``,
+        which gives every subscriber with frames waiting one ``send``."""
+        depth = getattr(self._batch, "depth", 0)
+        self._batch.depth = depth + 1
+        try:
+            yield
+        finally:
+            self._batch.depth = depth
+            if not depth:
+                with self._lock:
+                    self._send(self._conns)
+                    self._idle.notify_all()
+
+    def _send(self, conns) -> None:
+        """Write each connection's backlog inline; the caller holds the lock."""
+        handoff = False
+        for conn in conns:
+            if not conn.blocked:  # else the bus loop writes it
+                try:
+                    self.bytes_sent += conn.send()
+                except OSError:
+                    conn.blocked = True  # the loop reads the error and removes it
+                handoff = handoff or conn.blocked
+        if handoff:
+            self._wake()
+
+    def _wake(self) -> None:
+        with suppress(OSError):  # a full wake buffer wakes the loop anyway
+            self._wake_w.send(b"\0")
+
+    # -- bus loop ---------------------------------------------------------
+
+    def _loop(self) -> None:
+        sel = self._selector
+        try:
+            while not self._closed:
+                timeout = None
+                if self._handshakes:
+                    first = min(c.deadline for c in self._handshakes)
+                    timeout = max(0.0, first - time.monotonic())
+                for key, mask in sel.select(timeout):
+                    if isinstance(key.data, _SubscriberConn):
+                        self._serve(key.data, mask)
+                    else:
+                        key.data()
+                now = time.monotonic()
+                for conn in [c for c in self._handshakes if c.deadline <= now]:
+                    self._drop(conn, "handshake timed out")
+        finally:
+            for key in list(sel.get_map().values()):
+                key.fileobj.close()
+            sel.close()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _addr = self._listen.accept()
+            except BlockingIOError:
+                return
+            except OSError as exc:
+                log.warning("accept failed: %s", exc)
+                return
+            sock.setblocking(False)
+            conn = _SubscriberConn(sock, time.monotonic() + self._handshake_timeout)
+            self._handshakes.add(conn)
+            self._selector.register(sock, selectors.EVENT_READ, conn)
+
+    def _serve(self, conn: _SubscriberConn, mask: int) -> None:
+        try:
+            if mask & selectors.EVENT_READ:
+                data = conn.sock.recv(4096)
+                if not data:
+                    raise ConnectionError("connection closed")
+                if conn.prefix is None:
+                    self._read_handshake(conn, data)
+                # a subscriber sends nothing after its handshake
+            if mask & selectors.EVENT_WRITE:
+                with self._lock:
+                    self.bytes_sent += conn.send()
+                    if not conn.blocked:
+                        self._idle.notify_all()
+        except BlockingIOError:
+            pass
+        except (OSError, FrameError, UnicodeDecodeError) as exc:
+            self._drop(conn, exc)
+            return
+        self._watch(conn)
+
+    def _read_handshake(self, conn: _SubscriberConn, data: bytes) -> None:
+        frames = conn.handshake.feed(data)
+        if not frames:
+            return
+        if frames[0].topic != HANDSHAKE_TOPIC:
+            raise FrameError(f"expected {HANDSHAKE_TOPIC} handshake, got {frames[0].topic!r}")
+        prefix = frames[0].payload
+        prefix.decode("utf-8")  # a prefix must be text
+        self._handshakes.discard(conn)
+        conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, _SEND_BUFFER)
+        if self.endpoint.scheme == "tcp":
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self._lock:
+            conn.prefix = prefix
+            if not self._closed:
+                self._conns.append(conn)
+        log.debug("subscriber connected with prefix %r", prefix)
+
+    def _drop(self, conn: _SubscriberConn, reason) -> None:
+        if conn.prefix is None:
+            log.warning("rejecting subscriber: %s", reason)
+            self._handshakes.discard(conn)
+        else:
+            log.debug("subscriber with prefix %r dropped: %s", conn.prefix, reason)
             with self._lock:
-                self._bytes_sent += len(data)
-            with conn.cond:
-                conn.in_flight = False
-                conn.cond.notify_all()
+                if conn in self._conns:
+                    self._conns.remove(conn)
+                    self._idle.notify_all()
+        self._selector.unregister(conn.sock)
         conn.sock.close()
 
-    def _remove(self, conn: _SubscriberConn) -> None:
+    def _watch(self, conn: _SubscriberConn) -> None:
+        """Watch ``conn`` for writability exactly while the loop owns its backlog."""
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if conn.blocked else 0)
+        self._selector.modify(conn.sock, events, conn)  # a no-op when unchanged
+
+    def _on_wake(self) -> None:
+        with suppress(BlockingIOError):
+            self._wake_r.recv(4096)
         with self._lock:
-            if conn in self._conns:
-                self._conns.remove(conn)
-                self._dropped_total += conn.drops
-        conn.sock.close()
-        log.debug("subscriber with prefix %r dropped", conn.prefix)
+            conns = list(self._conns)
+        for conn in conns:
+            self._watch(conn)
 
     # -- lifecycle --------------------------------------------------------
 
     def drain(self, timeout: float = 10.0) -> bool:
-        """Wait until every subscriber queue has been flushed to its socket."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                conns = list(self._conns)
-            if all(c.idle() for c in conns):
-                return True
-            time.sleep(0.005)
-        return False
+        """Wait until every subscriber's backlog has been written to its socket."""
+        with self._idle:
+            return self._idle.wait_for(
+                lambda: not any(c.queue or c.tail for c in self._conns), timeout)
 
     def close(self, drain_timeout: float = 5.0) -> None:
         if self._closed:
@@ -413,39 +467,13 @@ class Publisher:
             self.drain(drain_timeout)
         with self._lock:
             self._closed = True
-            conns = list(self._conns)
-        try:
-            # a plain close() does not wake a thread blocked in accept();
-            # shutdown() does (on TCP) and releases the listening port
-            self._listen.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            # unix-domain listeners ignore shutdown(): poke accept() awake
-            # with a throwaway connection instead
-            poke = self.endpoint._create_socket()
-            poke.settimeout(0.2)
-            poke.connect(self.endpoint._address())
-            poke.close()
-        except OSError:
-            pass
-        self._listen.close()
-        self._acceptor.join(timeout=5.0)
-        for conn in conns:
-            conn.shutdown()
-        for conn in conns:
-            if conn.writer is not None:
-                conn.writer.join(timeout=2.0)
-        with self._lock:
-            for conn in conns:
-                if conn in self._conns:
-                    self._conns.remove(conn)
-                    self._dropped_total += conn.drops
+            self._conns.clear()
+        self._wake()
+        self._loop_thread.join(timeout=5.0)
+        self._wake_w.close()
         if self.endpoint.scheme == "ipc":
-            try:
+            with suppress(OSError):
                 os.unlink(self.endpoint.path)
-            except OSError:
-                pass
 
 
 class _FrameQueue:
@@ -481,32 +509,20 @@ class _FrameQueue:
 
     def get(self, timeout: float | None = None) -> Frame | None:
         """Next frame, or None on timeout / after close."""
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while not self._queue:
-                if self._closed:
-                    return None
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    self._cond.wait(remaining)
+            if not self._queue:
+                self._cond.wait_for(lambda: self._queue or self._closed, timeout)
+                if not self._queue:
+                    return None  # timed out, or closed and empty
             if self._producer_waiting:
                 self._producer_waiting = False
                 self._cond.notify_all()
             return self._queue.popleft()
 
     def __iter__(self):
-        while True:
-            f = self.get(timeout=0.25)
-            if f is not None:
-                yield f
-            elif self._closed:
-                with self._cond:
-                    if not self._queue:
-                        return
+        """Frames until close(), then those still queued."""
+        while (f := self.get()) is not None:
+            yield f
 
 
 class Subscriber(_FrameQueue):
@@ -563,13 +579,15 @@ class Subscriber(_FrameQueue):
                 if self.endpoint.scheme == "tcp":
                     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 sock.sendall(frame_encode(Frame(HANDSHAKE_TOPIC, self.prefix.encode("utf-8"))))
+                sock.settimeout(None)  # close() ends a blocked recv by shutting the socket down
             except OSError as exc:
                 sock.close()
                 failures += 1
                 if failures == self._retries_before_error:
                     self._emit("unreachable", str(exc))
-                if self._interruptible_sleep(delay):
-                    return
+                with self._cond:  # the backoff ends early on close()
+                    if self._cond.wait_for(lambda: self._closed, delay):
+                        return
                 delay = min(delay * 2, self._max_reconnect_delay)
                 continue
             failures = 0
@@ -587,19 +605,19 @@ class Subscriber(_FrameQueue):
 
     def _read_until_error(self, sock: socket.socket) -> None:
         buf = _FrameBuffer()
-        sock.settimeout(0.5)
+        # one buffer for every recv: a fresh 64 KiB bytes object per recv,
+        # shrunk to what arrived, fragments the heap as it churns
+        chunk = memoryview(bytearray(65536))
         while not self._closed:
             self._wait_for_room()
             try:
-                data = sock.recv(65536)
-            except socket.timeout:
-                continue
+                n = sock.recv_into(chunk)
             except OSError:
                 return
-            if not data:
+            if not n:
                 return  # publisher went away
             try:
-                frames = buf.feed(data)
+                frames = buf.feed(chunk[:n])
             except FrameError as exc:
                 log.warning("protocol error from %s: %s", self.endpoint, exc)
                 return
@@ -613,23 +631,12 @@ class Subscriber(_FrameQueue):
                 self._producer_waiting = True
                 self._cond.wait()
 
-    def _interruptible_sleep(self, seconds: float) -> bool:
-        """Sleep in small slices; True if closed meanwhile."""
-        deadline = time.monotonic() + seconds
-        while time.monotonic() < deadline:
-            if self._closed:
-                return True
-            time.sleep(min(0.05, seconds))
-        return self._closed
-
     def close(self) -> None:
         self._close_queue()
         sock = self._sock
         if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+            with suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)  # ends a blocked recv
         self._thread.join(timeout=5.0)
 
 
@@ -659,16 +666,9 @@ class InprocChannel:
         self._queue_size = queue_size
         self._lock = threading.Lock()
         self._subs: list[_InprocSubscription] = []
-        self._frames_delivered = 0
-        self._publish_calls = 0
-
-    @property
-    def frames_delivered(self) -> int:
-        return self._frames_delivered
-
-    @property
-    def publish_calls(self) -> int:
-        return self._publish_calls
+        self.frames_delivered = 0
+        self.publish_calls = 0
+        self.bytes_sent = 0  # nothing crosses the network
 
     @property
     def drops(self) -> int:
@@ -679,10 +679,6 @@ class InprocChannel:
     def subscriber_count(self) -> int:
         with self._lock:
             return len(self._subs)
-
-    @property
-    def bytes_sent(self) -> int:
-        return 0  # nothing crosses the network
 
     def subscribe(self, prefix: str = "") -> _InprocSubscription:
         sub = _InprocSubscription(self, prefix, self._queue_size)
@@ -698,11 +694,14 @@ class InprocChannel:
     def publish(self, f: Frame) -> None:
         topic = f.topic.encode("utf-8")
         with self._lock:
-            self._publish_calls += 1
+            self.publish_calls += 1
             targets = [s for s in self._subs if topic.startswith(s.prefix_bytes)]
-            self._frames_delivered += len(targets)
+            self.frames_delivered += len(targets)
         for sub in targets:
             sub._put((f,))
+
+    def batch(self):
+        return nullcontext()  # delivery is synchronous: nothing to defer
 
     def drain(self, timeout: float = 0.0) -> bool:
         return True  # delivery is synchronous

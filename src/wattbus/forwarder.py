@@ -73,9 +73,14 @@ class Forwarder:
         for frame in sub:
             if self._closed:
                 return
-            self.publisher.publish(frame)
+            relayed = 0
+            with self.publisher.batch():  # one send per subscriber for what is queued
+                while frame is not None:
+                    self.publisher.publish(frame)
+                    relayed += 1
+                    frame = sub.get(timeout=0)
             with self._count_lock:
-                self.frames_forwarded += 1
+                self.frames_forwarded += relayed
 
     def close(self) -> None:
         self._closed = True

@@ -1,9 +1,12 @@
 """Wire format, prefix filtering, and transport behavior of the bus."""
 
 import json
+import os
 import socket
+import sys
 import threading
 import time
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -386,6 +389,201 @@ class TestTcpPubSub:
             sub.close()
         finally:
             pub.close()
+
+
+    def test_batch_sends_once_at_the_outermost_exit(self):
+        pub = Publisher(loopback())
+        try:
+            sub = Subscriber(pub.endpoint, "")
+            assert wait_until(lambda: pub.subscriber_count == 1)
+            size = len(frame_encode(Frame("s/p", b"0")))
+            with pub.batch():
+                for i in range(5):
+                    pub.publish(Frame("s/p", b"%d" % i))
+                with pub.batch():
+                    for i in range(5, 10):
+                        pub.publish(Frame("s/p", b"%d" % i))
+                assert pub.bytes_sent == 0  # the inner exit defers to the outer one
+            assert pub.bytes_sent == 10 * size
+            pub.publish(Frame("s/p", b"a"))
+            assert pub.bytes_sent == 11 * size  # outside a batch: written inline
+            got = [sub.get(timeout=5.0).payload for _ in range(11)]
+            assert got == [b"%d" % i for i in range(10)] + [b"a"]
+            sub.close()
+        finally:
+            pub.close()
+
+    def test_batch_larger_than_the_queue_drops_nothing(self):
+        # a deferred send must not turn a healthy subscriber's bound into drops
+        pub = Publisher(loopback(), queue_size=10)
+        try:
+            sub = Subscriber(pub.endpoint, "")
+            assert wait_until(lambda: pub.subscriber_count == 1)
+            with pub.batch():
+                for i in range(35):
+                    pub.publish(Frame("s/p", b"%d" % i))
+            got = [sub.get(timeout=5.0) for _ in range(35)]
+            assert [int(f.payload) for f in got] == list(range(35))
+            assert pub.drops == 0
+            sub.close()
+        finally:
+            pub.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_subscribers_are_removed_without_a_matching_publish(self):
+        pub = Publisher(loopback())
+        try:
+            threads = threading.active_count()
+            fds = len(os.listdir("/proc/self/fd"))
+            for _ in range(50):
+                sub = Subscriber(pub.endpoint, "nomatch/")
+                assert wait_until(lambda: pub.subscriber_count == 1)
+                pub.publish(Frame("elsewhere/p", b"x"))
+                sub.close()
+                assert wait_until(lambda: pub.subscriber_count == 0)
+            assert threading.active_count() <= threads
+            assert wait_until(lambda: len(os.listdir("/proc/self/fd")) <= fds)
+        finally:
+            pub.close()
+
+    def test_silent_connects_hold_no_thread_and_are_closed(self):
+        before = set(threading.enumerate())
+        pub = Publisher(loopback(), handshake_timeout=0.5)
+        silent = []
+        try:
+            silent = [socket.create_connection(("127.0.0.1", pub.endpoint.port))
+                      for _ in range(20)]
+            sub = Subscriber(pub.endpoint, "")
+            assert wait_until(lambda: pub.subscriber_count == 1)
+            # only the bus loop and the subscriber's reader are new
+            assert len(set(threading.enumerate()) - before) == 2
+            for s in silent:
+                s.settimeout(5.0)
+                try:
+                    assert s.recv(1) == b""  # closed by the publisher
+                except ConnectionResetError:
+                    pass
+            pub.publish(Frame("s/p", b"still served"))
+            assert sub.get(timeout=5.0) == Frame("s/p", b"still served")
+            sub.close()
+        finally:
+            for s in silent:
+                s.close()
+            pub.close()
+
+    def test_partial_writes_never_tear_a_frame(self):
+        # 60 KB frames into a reader that takes small slices: sends are cut
+        # mid-frame while drop-oldest evicts from a five-frame queue
+        pub = Publisher(loopback(), queue_size=5)
+        reader = socket.create_connection(("127.0.0.1", pub.endpoint.port))
+        try:
+            reader.sendall(frame_encode(Frame("SUB", b"")))
+            assert wait_until(lambda: pub.subscriber_count == 1)
+            total = 200
+            filler = b"z" * 60_000
+            received = []
+            errors = []
+
+            def read():
+                buf = _FrameBuffer()
+                reader.settimeout(10.0)
+                while len(received) + pub.drops < total:
+                    try:
+                        data = reader.recv(997)
+                    except OSError:
+                        return
+                    if not data:
+                        return
+                    try:
+                        received.extend(int(f.payload[:8]) for f in buf.feed(data))
+                    except FrameError as exc:
+                        errors.append(exc)
+                        return
+                    time.sleep(0.0002)
+
+            t = threading.Thread(target=read)
+            t.start()
+            for i in range(total):
+                pub.publish(Frame("s/p", b"%08d" % i + filler))
+            assert pub.drain(timeout=30.0)
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+            assert errors == []
+            assert pub.drops > 0
+            assert all(a < b for a, b in zip(received, received[1:]))
+            assert len(received) + pub.drops == total
+        finally:
+            reader.close()
+            pub.close(drain_timeout=0)
+
+    def test_concurrent_batches_and_backlog_keep_order_and_counts(self):
+        # producers in and out of batches race the bus loop, which writes
+        # the backlog of a slow reader while drop-oldest evicts from it
+        pub = Publisher(loopback(), queue_size=50)
+        reader = socket.create_connection(("127.0.0.1", pub.endpoint.port))
+        switch = sys.getswitchinterval()
+        try:
+            reader.sendall(frame_encode(Frame("SUB", b"")))
+            assert wait_until(lambda: pub.subscriber_count == 1)
+            sys.setswitchinterval(1e-5)
+            pad = b"p" * 2000
+            total = 2000
+            seen = {f"t/{w}": [] for w in range(4)}
+
+            def read():
+                buf = _FrameBuffer()
+                reader.settimeout(10.0)
+                while sum(map(len, seen.values())) + pub.drops < total:
+                    data = reader.recv(1500)
+                    if not data:
+                        return
+                    for f in buf.feed(data):
+                        seen[f.topic].append(int(f.payload[:6]))
+                    time.sleep(0.0001)
+
+            def produce(w):
+                for i in range(0, total // 4, 10):
+                    with pub.batch() if w % 2 else nullcontext():
+                        for j in range(i, i + 10):
+                            pub.publish(Frame(f"t/{w}", b"%06d" % j + pad))
+
+            threads = [threading.Thread(target=read)]
+            threads += [threading.Thread(target=produce, args=(w,)) for w in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+            assert pub.drain(timeout=10.0)
+            for seqs in seen.values():
+                assert all(a < b for a, b in zip(seqs, seqs[1:]))
+            received = sum(map(len, seen.values()))
+            assert received + pub.drops == total
+            size = len(frame_encode(Frame("t/0", b"000000" + pad)))
+            assert pub.bytes_sent == received * size  # no frame torn, none doubled
+        finally:
+            sys.setswitchinterval(switch)
+            reader.close()
+            pub.close(drain_timeout=0)
+
+    def test_subscriber_close_is_prompt(self):
+        pub = Publisher(loopback())
+        try:
+            sub = Subscriber(pub.endpoint, "")
+            assert wait_until(lambda: pub.subscriber_count == 1)
+            t0 = time.monotonic()
+            sub.close()
+            assert time.monotonic() - t0 < 1.0
+            assert not sub._thread.is_alive()
+        finally:
+            pub.close()
+        # nothing listens now: the reconnect backoff is long, close() is not
+        sub = Subscriber(pub.endpoint, "", reconnect_delay=30.0, max_reconnect_delay=30.0)
+        time.sleep(0.2)
+        t0 = time.monotonic()
+        sub.close()
+        assert time.monotonic() - t0 < 1.0
+        assert not sub._thread.is_alive()
 
 
 class TestIpcTransport:

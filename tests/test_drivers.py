@@ -1,5 +1,6 @@
 """Device emulators, quantization, and driver manager supervision."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -266,6 +267,35 @@ class TestDriverManager:
         for f in frames:
             m = decode_measurement(f.payload)
             assert m.probe.topic == f.topic
+
+    def test_each_wake_publishes_inside_one_batch(self):
+        class Recording(InprocChannel):
+            depth = batches = outside = 0
+
+            @contextlib.contextmanager
+            def batch(self):
+                self.depth += 1
+                self.batches += 1
+                try:
+                    yield
+                finally:
+                    self.depth -= 1
+
+            def publish(self, f):
+                self.outside += not self.depth
+                super().publish(f)
+
+        chan = Recording()
+        sub = chan.subscribe("")
+        manager = DriverManager(ipmi_specs(100), chan, max_ticks=3,
+                                watchdog_period_s=60.0, stagger=False)
+        manager.start()
+        assert manager.wait_finished(timeout=10.0)
+        manager.stop()
+        assert chan.publish_calls == 300
+        assert chan.outside == 0
+        assert chan.batches < 100  # one per wake, not one per tick
+        assert sum(1 for _ in iter(lambda: sub.get(timeout=0.2), None)) == 300
 
     def test_signing_integration(self):
         secret = b"unit-test-secret-16"

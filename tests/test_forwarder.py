@@ -61,6 +61,32 @@ def test_byte_transparency():
         pub.close()
 
 
+def test_ten_thousand_frames_relay_in_order_and_byte_identical():
+    pub = Publisher(loopback())
+    fwd = Forwarder(ForwarderConfig(
+        upstreams=((pub.endpoint, ""),), downstream_bind=loopback()))
+    try:
+        relayed = Subscriber(fwd.publisher.endpoint, "")
+        assert wait_until(lambda: pub.subscriber_count == 1)
+        assert wait_until(lambda: fwd.publisher.subscriber_count == 1)
+        frames = [Frame(f"site{i % 7}/p{i % 13}", b'{"seq":%d,"w":%d.5}' % (i, i % 400))
+                  for i in range(10_000)]
+        for f in frames:
+            pub.publish(f)
+        got = []
+        while len(got) < len(frames):
+            f = relayed.get(timeout=5.0)
+            assert f is not None, f"relay stalled at {len(got)}"
+            got.append(f)
+        assert [frame_encode(f) for f in got] == [frame_encode(f) for f in frames]
+        assert wait_until(lambda: fwd.frames_forwarded == len(frames))
+        assert fwd.publisher.drops == 0
+        relayed.close()
+    finally:
+        fwd.close()
+        pub.close()
+
+
 def test_chain_of_three_preserves_order():
     pub = Publisher(loopback())
     forwarders = []
