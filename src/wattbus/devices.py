@@ -170,8 +170,12 @@ class DriverSpec:
             return self.probe
         return ProbeId(self.probe.site, f"{self.probe.name}-out{outlet}")
 
+    def outlet_probes(self) -> tuple[ProbeId, ...]:
+        """Probe ids of every outlet, in outlet order (outlet 1 first)."""
+        return tuple(self.outlet_probe(i) for i in range(1, self.outlet_count + 1))
+
     def all_topics(self) -> list[str]:
-        return [self.outlet_probe(i).topic for i in range(1, self.outlet_count + 1)]
+        return [probe.topic for probe in self.outlet_probes()]
 
 
 class Reading(NamedTuple):

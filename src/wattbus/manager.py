@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from wattbus.bus import Frame, Publisher
 from wattbus.devices import DeviceTimeout, DriverSpec, make_device, quantize
-from wattbus.model import Measurement, encode_measurement
+from wattbus.model import Measurement, ProbeId, encode_measurement
 from wattbus.signing import sign
 
 log = logging.getLogger(__name__)
@@ -45,11 +45,15 @@ class DriverError(Exception):
         self.topic = topic
 
 
-def poll_once(spec: DriverSpec, device, now: float | None = None) -> list[Measurement]:
+def poll_once(spec: DriverSpec, device, now: float | None = None, *,
+              probes: tuple[ProbeId, ...] | None = None) -> list[Measurement]:
     """Take one tick's worth of measurements from a device.
 
     Pull devices answer with one reading per outlet stamped at poll time;
     push devices hand over whatever accumulated since the last drain.
+    ``probes`` is ``spec.outlet_probes()``; a caller that polls the same
+    spec every tick passes it, built once, instead of having
+    ``spec.outlet_probe`` build a probe id per reading.
     """
     if now is None:
         now = time.time()
@@ -60,7 +64,7 @@ def poll_once(spec: DriverSpec, device, now: float | None = None) -> list[Measur
     measurements = []
     for r in readings:
         measurements.append(Measurement(
-            probe=spec.outlet_probe(r.outlet),
+            probe=spec.outlet_probe(r.outlet) if probes is None else probes[r.outlet - 1],
             timestamp=r.timestamp,
             watts=quantize(r.watts, spec.profile.precision_w),
         ))
@@ -87,6 +91,7 @@ class _DriverSlot:
 
     def __init__(self, spec: DriverSpec):
         self.spec = spec
+        self.probes = spec.outlet_probes()
         self.device = None  # made when the slot first comes due after a (re)start
         self.anchor = 0.0  # monotonic time the device was made
         self.tick_here = 0  # ticks since the (re)start; ``ticks`` spans restarts
@@ -138,6 +143,12 @@ class DriverManager:
     carries its true timestamp into the energy integral.  The entries due
     at one wake run inside one ``publisher.batch()``, so their frames
     leave in one send per subscriber.
+
+    The sleep is a timed ``acquire`` of a lock held from construction until
+    ``stop()`` releases it, which ends the sleep at once; a wake costs less
+    CPU this way than in ``Event.wait``.  ``stop()`` may be called more than
+    once, and before ``start()``.  Each slot builds its outlet probe ids
+    once and hands them to ``poll_once``.
     """
 
     def __init__(self, probes: list[DriverSpec], publisher,
@@ -158,7 +169,9 @@ class DriverManager:
         self._max_ticks = max_ticks
         self._stagger = stagger
         self._status_path = status_path
-        self._stop = threading.Event()
+        self._stop_lock = threading.Lock()
+        self._stop_lock.acquire()
+        self._stopping = False
         self._heap: list[tuple[float, int, _DriverSlot | None]] = []
         self._seq = itertools.count()  # ties never compare slots
         self._scheduler: threading.Thread | None = None
@@ -180,7 +193,11 @@ class DriverManager:
         log.info("scheduling %d driver(s)", n)
 
     def stop(self, timeout: float = 10.0) -> None:
-        self._stop.set()
+        self._stopping = True
+        try:
+            self._stop_lock.release()
+        except RuntimeError:
+            pass  # an earlier stop() released it
         if self._scheduler is not None:
             self._scheduler.join(timeout)
         for slot in self._slots.values():
@@ -235,12 +252,12 @@ class DriverManager:
         self._push(t0 + self._watchdog_period_s, None)  # None: the watchdog entry
         while True:
             delay = self._heap[0][0] - time.monotonic()
-            if delay > 0 and self._stop.wait(delay + self._slack_s):
+            if delay > 0 and self._stop_lock.acquire(True, delay + self._slack_s):
                 return
             now = time.monotonic()
             with self._publisher.batch():
                 while self._heap[0][0] <= now:
-                    if self._stop.is_set():
+                    if self._stopping:
                         return
                     _, _, slot = heapq.heappop(self._heap)
                     if slot is not None:
@@ -280,7 +297,7 @@ class DriverManager:
         spec = slot.spec
         slot.ticks += 1
         try:
-            measurements = poll_once(spec, device)
+            measurements = poll_once(spec, device, probes=slot.probes)
         except DriverError as exc:
             slot.lost += spec.outlet_count
             log.warning("measurement lost: %s", exc)

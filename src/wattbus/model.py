@@ -102,6 +102,8 @@ class Measurement:
     amps: float | None = None
     signature: str | None = None
 
+    _wire = None  # not a field: the bytes ``signed_copy`` built, else None
+
     def __post_init__(self):
         _check_number("timestamp", self.timestamp, 0, strict=True)
         _check_number("w", self.watts, 0, strict=False)
@@ -134,16 +136,51 @@ def encode_measurement(m: Measurement) -> bytes:
     already rejected bools and non-finite values).  They are pinned to
     ``json.dumps(obj, sort_keys=True, separators=(",", ":"),
     ensure_ascii=False)``: any difference would break signatures between
-    versions.
+    versions.  A measurement made by ``signed_copy`` returns the bytes it
+    was built with.
     """
-    text = "{" if m.amps is None else '{"a":' + _number(m.amps) + ","
-    text += '"probe":' + encode_basestring(m.probe.topic)
-    if m.signature is not None:
-        text += ',"signature":"' + m.signature + '"'
-    text += ',"timestamp":' + _number(m.timestamp)
+    if m._wire is not None:
+        return m._wire
+    head, tail = canonical_halves(m)
+    if m.signature is None:
+        return (head + tail).encode("utf-8")
+    return _with_signature_slot(head, m.signature, tail)
+
+
+def canonical_halves(m: Measurement) -> tuple[str, str]:
+    """The unsigned canonical text of ``m``, split at its signature slot.
+
+    ``head + tail`` is the unsigned payload, the signing input.  The slot
+    lies between ``probe`` and ``timestamp``, the only keys that sort on
+    either side of ``signature``, so the text around it is the same signed
+    or not.
+    """
+    head = "{" if m.amps is None else '{"a":' + _number(m.amps) + ","
+    head += '"probe":' + encode_basestring(m.probe.topic) + ","
+    tail = '"timestamp":' + _number(m.timestamp)
     if m.volts is not None:
-        text += ',"v":' + _number(m.volts)
-    return (text + ',"w":' + _number(m.watts) + "}").encode("utf-8")
+        tail += ',"v":' + _number(m.volts)
+    return head, tail + ',"w":' + _number(m.watts) + "}"
+
+
+def _with_signature_slot(head: str, signature: str, tail: str) -> bytes:
+    return (head + '"signature":"' + signature + '",' + tail).encode("utf-8")
+
+
+def signed_copy(m: Measurement, signature: str, halves: tuple[str, str]) -> Measurement:
+    """``m`` carrying ``signature``, without validating any field again.
+
+    ``m`` is unsigned and was validated when it was made; ``signature`` must
+    be lowercase hex (an HMAC ``hexdigest``) and ``halves`` what
+    ``canonical_halves(m)`` returned.  The copy keeps its wire bytes, so
+    ``encode_measurement`` does not build them again.
+    """
+    signed = object.__new__(Measurement)
+    state = signed.__dict__  # frozen: fill the instance dict, as __init__ does
+    state.update(m.__dict__)
+    state["signature"] = signature
+    state["_wire"] = _with_signature_slot(halves[0], signature, halves[1])
+    return signed
 
 
 def _number(x) -> str:

@@ -9,10 +9,11 @@ binds the message to its origin.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 
-from wattbus.model import Measurement, encode_measurement
+from wattbus.model import Measurement, canonical_halves, encode_measurement, signed_copy
 
 MIN_SECRET_LEN = 16
 
@@ -31,22 +32,37 @@ def _check_secret(secret: bytes) -> bytes:
     return bytes(secret)
 
 
+@functools.lru_cache(maxsize=8)
+def _keyed_hmac(secret: bytes) -> hmac.HMAC:
+    """An HMAC-SHA-256 keyed with ``secret`` and fed nothing, to ``.copy()``.
+
+    Keying costs about as much as hashing a payload, so it is done once per
+    secret; callers copy the result and never update it.
+    """
+    return hmac.new(secret, digestmod=hashlib.sha256)
+
+
 def signature_hex(m: Measurement, secret: bytes) -> str:
     """Lowercase hex HMAC-SHA-256 over the unsigned canonical payload."""
-    secret = _check_secret(secret)
-    payload = encode_measurement(m.without_signature())
-    return hmac.new(secret, payload, hashlib.sha256).hexdigest()
+    mac = _keyed_hmac(_check_secret(secret)).copy()
+    mac.update(encode_measurement(m.without_signature()))
+    return mac.hexdigest()
 
 
 def sign(m: Measurement, secret: bytes) -> Measurement:
     """Return a copy of ``m`` carrying its signature.
 
     ``m`` must not already be signed; re-signing a signed message would
-    silently change what the signature covers.
+    silently change what the signature covers.  The unsigned payload is
+    built once: the copy's wire bytes are that payload with the signature
+    put in its slot.
     """
     if m.signature is not None:
         raise ValueError("measurement is already signed")
-    return m.with_signature(signature_hex(m, secret))
+    mac = _keyed_hmac(_check_secret(secret)).copy()
+    halves = canonical_halves(m)
+    mac.update((halves[0] + halves[1]).encode("utf-8"))
+    return signed_copy(m, mac.hexdigest(), halves)
 
 
 def verify(m: Measurement, secret: bytes) -> bool:

@@ -2,6 +2,8 @@
 
 import contextlib
 import dataclasses
+import hashlib
+import hmac
 import json
 import math
 import sys
@@ -28,8 +30,9 @@ from wattbus.devices import (
     seed_for_topic,
 )
 from wattbus.manager import DriverError, DriverManager, poll_once
-from wattbus.model import ProbeId, decode_measurement
-from wattbus.signing import verify
+from wattbus.model import Measurement, ProbeId, decode_measurement, encode_measurement
+from wattbus import signing
+from wattbus.signing import sign, verify
 
 from test_bus import wait_until
 
@@ -235,12 +238,49 @@ class TestPollOnce:
             steps = m.watts / spec.profile.precision_w
             assert abs(steps - round(steps)) < 1e-9
 
+    def test_prebuilt_probes_give_the_same_measurements(self):
+        spec = pdu_spec()
+        probes = spec.outlet_probes()
+        built = poll_once(spec, PullDevice(spec), now=500.0, probes=probes)
+        assert built == poll_once(spec, PullDevice(spec), now=500.0)
+        assert all(m.probe is probes[i] for i, m in enumerate(built))
+
     def test_device_timeout_becomes_driver_error(self):
         spec = pdu_spec()
         device = FlakyDevice(PullDevice(spec), fail_every=1)
         with pytest.raises(DriverError) as excinfo:
             poll_once(spec, device, now=1.0)
         assert excinfo.value.topic == "site/pdu3"
+
+
+class TestWireBytes:
+    # SHA-256 over every payload of a fixed fleet polled at fixed times,
+    # computed before the signed payload was spliced from the unsigned one:
+    # a change to either byte form breaks signatures between versions
+    UNSIGNED = "541466be6325d8d78d9bbc924f2336f69ba59af2f7b76fa1b059ee18f8a74c7a"
+    SIGNED = "0a63609d19453ec854c42a4ab1fc62cb2494dc40fa3a49f5dc4e35d7f2acd1bb"
+
+    @pytest.mark.parametrize("secret, expected", [(None, UNSIGNED),
+                                                  (b"golden-wire-secret", SIGNED)])
+    def test_golden_fleet_payloads(self, secret, expected):
+        epoch = 1_700_000_000.0
+        specs = [DriverSpec(ProbeId("golden", f"node{i}"), PROFILES["emulated-ipmi"],
+                            interval_s=1.0, seed=i) for i in range(20)]
+        specs += [DriverSpec(ProbeId("golden", f"pdu{i}"), PROFILES["emulated-pdu"],
+                             interval_s=1.0, seed=100 + i) for i in range(2)]
+        devices = [make_device(spec, epoch) for spec in specs]
+        probes = [spec.outlet_probes() for spec in specs]
+        digest = hashlib.sha256()
+        n = 0
+        for tick in range(5):
+            for spec, device, outlets in zip(specs, devices, probes):
+                for m in poll_once(spec, device, epoch + tick + 0.25, probes=outlets):
+                    if secret is not None:
+                        m = sign(m, secret)
+                    digest.update(encode_measurement(m) + b"\n")
+                    n += 1
+        assert n == 200
+        assert digest.hexdigest() == expected
 
 
 def ipmi_specs(n, interval=0.05):
@@ -325,17 +365,34 @@ class TestDriverManager:
             for attr, value in list(vars(mod).items()):
                 if any(value is fn for fn in slow):
                     monkeypatch.setattr(mod, attr, forbidden)
-        secret = b"unit-test-secret-16"
+        # nor does it key an HMAC or validate a measurement per message:
+        # each is validated once, when polled, and the key is set up once
+        counts = {"hmac.new": 0, "validations": 0}
+        real_new, real_check = hmac.new, Measurement.__post_init__
+
+        def counting_new(*args, **kwargs):
+            counts["hmac.new"] += 1
+            return real_new(*args, **kwargs)
+
+        def counting_check(m):
+            counts["validations"] += 1
+            real_check(m)
+
+        monkeypatch.setattr(hmac, "new", counting_new)
+        monkeypatch.setattr(Measurement, "__post_init__", counting_check)
+        signing._keyed_hmac.cache_clear()
+        secret = bytearray(b"unit-test-secret-16")
         chan = InprocChannel()
         sub = chan.subscribe("")
-        manager = DriverManager(ipmi_specs(1), chan, secret=secret,
+        manager = DriverManager(ipmi_specs(5) + [pdu_spec()], chan, secret=secret,
                                 max_ticks=1, watchdog_period_s=60.0)
         manager.start()
         assert manager.wait_finished(timeout=10.0)
         manager.stop()
-        f = sub.get(timeout=1.0)
-        assert f is not None
-        assert verify(decode_measurement(f.payload), secret)
+        assert counts == {"hmac.new": 1, "validations": 15}
+        frames = list(iter(lambda: sub.get(timeout=0.2), None))
+        assert len(frames) == 15
+        assert all(verify(decode_measurement(f.payload), secret) for f in frames)
 
     def test_mean_spacing_within_five_percent(self):
         chan = InprocChannel()
@@ -453,15 +510,21 @@ class TestDriverManager:
                                 InprocChannel(), max_ticks=3,
                                 watchdog_period_s=60.0,
                                 device_factory=timed_factory)
-        wait = manager._stop.wait
+        stop_lock = manager._stop_lock
         waits = 0
 
-        def counting_wait(timeout=None):
-            nonlocal waits
-            waits += 1
-            return wait(timeout)
+        class CountingLock:
+            # lock objects take no attributes: count the scheduler's timed
+            # acquires (its waits between wakes) through a stand-in
+            def acquire(self, blocking=True, timeout=-1):
+                nonlocal waits
+                waits += 1
+                return stop_lock.acquire(blocking, timeout)
 
-        manager._stop.wait = counting_wait
+            def release(self):
+                stop_lock.release()
+
+        manager._stop_lock = CountingLock()
         manager.start()
         try:
             assert manager.wait_finished(timeout=30.0)
@@ -469,9 +532,38 @@ class TestDriverManager:
             manager.stop()
         ticks = sum(s.ticks for s in manager.statuses())
         assert ticks == 3000
-        assert waits <= ticks / 5
+        assert 0 < waits <= ticks / 5
         assert len(reads) == ticks
         assert all(t >= made + k * interval for k, made, t in reads)
+
+    def test_stop_twice(self):
+        manager = DriverManager(ipmi_specs(2), InprocChannel(), watchdog_period_s=60.0)
+        manager.start()
+        manager.stop()
+        manager.stop()
+        assert not manager._scheduler.is_alive()
+        assert not any(s.alive for s in manager.statuses())
+
+    def test_stop_before_start(self):
+        chan = InprocChannel()
+        manager = DriverManager(ipmi_specs(2), chan, watchdog_period_s=60.0)
+        manager.stop()
+        manager.stop()
+        manager.start()  # a stopped manager's scheduler exits before any tick
+        manager._scheduler.join(timeout=2.0)
+        assert not manager._scheduler.is_alive()
+        assert chan.publish_calls == 0
+
+    def test_stop_returns_while_the_next_tick_is_far_away(self):
+        chan = InprocChannel()
+        manager = DriverManager(ipmi_specs(1, interval=60.0), chan,
+                                watchdog_period_s=60.0)
+        manager.start()
+        assert wait_until(lambda: chan.publish_calls == 1)
+        start = time.monotonic()
+        manager.stop()
+        assert time.monotonic() - start < 0.2
+        assert not manager._scheduler.is_alive()
 
     def test_status_file(self, tmp_path):
         path = tmp_path / "status.jsonl"

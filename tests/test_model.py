@@ -1,5 +1,7 @@
 """Payload codec: canonical bytes, round-trips, structured decode errors."""
 
+import hashlib
+import hmac
 import json
 
 import pytest
@@ -13,6 +15,7 @@ from wattbus.model import (
     decode_measurement,
     encode_measurement,
 )
+from wattbus.signing import MIN_SECRET_LEN, sign
 
 from conftest import measurements, probe_parts
 
@@ -147,6 +150,17 @@ class TestEncoderMatchesJsonDumps:
     @given(_any_measurement)
     def test_byte_identical(self, m):
         assert encode_measurement(m) == reference_encode(m)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_any_measurement, st.binary(min_size=MIN_SECRET_LEN, max_size=80))
+    def test_signed_bytes_identical(self, m, key):
+        # sign() splices the signature into the unsigned bytes and skips
+        # validation: it must agree with a copy built and encoded the long way
+        m = m.without_signature()
+        sig = hmac.new(key, reference_encode(m), hashlib.sha256).hexdigest()
+        signed = sign(m, key)
+        assert encode_measurement(signed) == reference_encode(m.with_signature(sig))
+        assert signed == m.with_signature(sig)
 
     def test_number_subclass_encodes_as_its_base_type(self):
         class Watts(float):

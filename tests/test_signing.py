@@ -58,6 +58,38 @@ def test_short_secret_rejected():
         signature_hex(m, b"")
 
 
+@pytest.mark.parametrize("secret", [SECRET, bytearray(SECRET), SECRET.decode()],
+                         ids=["bytes", "bytearray", "str"])
+def test_every_secret_type_signs_and_verifies(secret):
+    m = Measurement(ProbeId("s", "p"), 1, 0)
+    for _ in range(2):  # the second call finds the key set up by the first
+        signed = sign(m, secret)
+        assert signed.signature == REFERENCE_SIGNATURE
+        assert verify(signed, secret)
+        assert not verify(signed, OTHER_SECRET)
+
+
+@pytest.mark.parametrize("secret", [b"too-short", bytearray(b"too-short"), "too-short"],
+                         ids=["bytes", "bytearray", "str"])
+def test_short_secret_rejected_on_every_call(secret):
+    m = Measurement(ProbeId("s", "p"), 1, 0)
+    signed = sign(m, SECRET)
+    for _ in range(2):
+        with pytest.raises(SigningKeyError):
+            sign(m, secret)
+        with pytest.raises(SigningKeyError):
+            verify(signed, secret)
+
+
+def test_secret_shortened_in_place_is_rejected():
+    secret = bytearray(SECRET)
+    m = Measurement(ProbeId("s", "p"), 1, 0)
+    assert verify(sign(m, secret), secret)
+    del secret[8:]
+    with pytest.raises(SigningKeyError):
+        sign(m, secret)
+
+
 def test_resigning_rejected():
     m = sign(Measurement(ProbeId("s", "p"), 1, 0), SECRET)
     with pytest.raises(ValueError):
