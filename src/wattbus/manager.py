@@ -3,12 +3,11 @@
 One scheduler thread paces the whole fleet (one driver spec per IPMI card,
 one per PDU): when a spec comes due it reads the device, quantizes to the
 device precision, optionally signs, and publishes one frame per outlet.
-Like a kernel timer with slack, the thread may sleep up to 1 % of the
-fleet's shortest interval past a tick's due time, and one wake serves every
-tick that came due within that window, so a staggered fleet does not wake
-it once per device.  A watchdog sweep on the same thread restarts dead
-drivers; a driver that keeps dying without ever publishing again is
-quarantined so a broken probe cannot hog the manager forever.
+The fleet is staggered over ``PHASES`` fixed phases per interval, and every
+driver of one phase is due at the same instant, so the thread wakes once per
+phase rather than once per device.  A watchdog sweep on the same thread
+restarts dead drivers; a driver that keeps dying without ever publishing
+again is quarantined so a broken probe cannot hog the manager forever.
 
 Measurements lost to device timeouts are counted, never silently ignored:
 wattmeters report instantaneous W, not cumulative kWh, so a missed sample
@@ -21,6 +20,7 @@ import heapq
 import itertools
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -35,6 +35,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_WATCHDOG_PERIOD_S = 10.0
 DEFAULT_RESTART_LIMIT = 5
+PHASES = 20  # stagger points per interval: one scheduler wake each
 
 
 class DriverError(Exception):
@@ -53,7 +54,9 @@ def poll_once(spec: DriverSpec, device, now: float | None = None, *,
     push devices hand over whatever accumulated since the last drain.
     ``probes`` is ``spec.outlet_probes()``; a caller that polls the same
     spec every tick passes it, built once, instead of having
-    ``spec.outlet_probe`` build a probe id per reading.
+    ``spec.outlet_probe`` build a probe id per reading.  A reading for an
+    outlet the spec does not have raises ``DriverError``: it cannot be
+    attributed to any probe.
     """
     if now is None:
         now = time.time()
@@ -61,8 +64,11 @@ def poll_once(spec: DriverSpec, device, now: float | None = None, *,
         readings = device.read(now)
     except DeviceTimeout as exc:
         raise DriverError(spec.topic, str(exc)) from exc
+    outlets = spec.outlet_count
     measurements = []
     for r in readings:
+        if not 0 < r.outlet <= outlets:
+            raise DriverError(spec.topic, f"reading for outlet {r.outlet} of {outlets}")
         measurements.append(Measurement(
             probe=spec.outlet_probe(r.outlet) if probes is None else probes[r.outlet - 1],
             timestamp=r.timestamp,
@@ -92,9 +98,9 @@ class _DriverSlot:
     def __init__(self, spec: DriverSpec):
         self.spec = spec
         self.probes = spec.outlet_probes()
-        self.device = None  # made when the slot first comes due after a (re)start
-        self.anchor = 0.0  # monotonic time the device was made
-        self.tick_here = 0  # ticks since the (re)start; ``ticks`` spans restarts
+        self.device = None  # made when the slot is (re)scheduled
+        self.origin = 0.0  # t0 + phase: tick k is due at origin + k * interval
+        self.k = 0  # grid index of the next tick; ``ticks`` counts ticks run
         self.alive = False  # scheduled on the heap, neither dead nor finished
         self.kill_requested = False
         self.restart_count = 0
@@ -123,26 +129,28 @@ class _DriverSlot:
 class DriverManager:
     """Paces and supervises every driver spec from one scheduler thread.
 
-    The thread waits on a heap of ``(due, seq, slot)`` entries; the k-th
-    tick after a slot's device was made at ``anchor`` is due at
-    ``anchor + k * interval_s``.  Devices are read inline, so ``read`` must
-    not block (no emulator does).  A slot dies when its device factory
-    raises, when a tick raises anything but a counted ``DriverError``, or
-    when it comes due after ``inject_failure``; the watchdog restarts it
-    with a fresh device.  ``max_ticks`` bounds each driver to a fixed number
-    of poll ticks (the benchmark harness uses this for deterministic
-    publication counts); daemon mode leaves it None.  ``stagger`` spreads
-    driver start times across one interval so a large fleet does not
-    publish in lockstep.
+    The thread waits on a heap of ``(due, seq, slot)`` entries.  ``start``
+    makes every device, then takes ``t0``; slot i of n is given the phase
+    ``(i * PHASES // n) / PHASES`` of its interval, and its ticks are due
+    at exactly ``t0 + phase + k * interval_s``.  ``stagger=False`` puts
+    every slot in phase 0.  Slots of one phase and interval share
+    identical due times, so one wake runs the whole phase: the thread
+    sleeps until the head is due, with no slack, then runs every entry
+    that is due.  No tick runs early, a tick is late only by the run time
+    of the ticks ahead of it in its phase (plus the OS wake-up), and
+    lateness never accumulates.  Measurements are stamped at poll time,
+    so a late tick carries its true timestamp into the energy integral.
+    The entries due at one wake run inside one ``publisher.batch()``, so
+    their frames leave in one send per subscriber.
 
-    When the head is not yet due the thread sleeps until ``due + slack``,
-    with the slack 1 % of the fleet's shortest interval, then runs every
-    entry that is due: no tick runs early, none waits longer than one slack
-    plus the run time of the ticks ahead of it, and lateness never
-    accumulates.  Measurements are stamped at poll time, so a late tick
-    carries its true timestamp into the energy integral.  The entries due
-    at one wake run inside one ``publisher.batch()``, so their frames
-    leave in one send per subscriber.
+    Devices are read inline, so ``read`` must not block (no emulator
+    does).  A slot dies when its device factory raises, when a tick raises
+    anything but a counted ``DriverError``, or when it comes due after
+    ``inject_failure``; the watchdog restarts it with a fresh device, due
+    at the first point of its own phase grid at or after the device was
+    made.  ``max_ticks`` bounds each driver to a fixed number of poll
+    ticks (the benchmark harness uses this for deterministic publication
+    counts); daemon mode leaves it None.
 
     The sleep is a timed ``acquire`` of a lock held from construction until
     ``stop()`` releases it, which ends the sleep at once; a wake costs less
@@ -160,7 +168,6 @@ class DriverManager:
                  status_path: str | None = None,
                  device_factory=make_device):
         self._slots = {spec.topic: _DriverSlot(spec) for spec in probes}
-        self._slack_s = 0.01 * min((s.interval_s for s in probes), default=0.0)
         self._publisher = publisher
         self._secret = secret
         self._device_factory = device_factory
@@ -181,14 +188,17 @@ class DriverManager:
     def start(self) -> None:
         if self._scheduler is not None:
             raise RuntimeError("manager already started")
-        now = time.monotonic()
         slots = list(self._slots.values())
+        made = [self._make_device(slot) for slot in slots]
+        t0 = time.monotonic()  # after every device is made: no tick before its device
         n = len(slots)
         for i, slot in enumerate(slots):
-            offset = (i / n) * slot.spec.interval_s if self._stagger else 0.0
-            self._schedule(slot, now + offset)
+            phase = (i * PHASES // n) / PHASES if self._stagger else 0.0
+            slot.origin = t0 + phase * slot.spec.interval_s
+            if made[i]:
+                self._schedule(slot, t0)
         self._scheduler = threading.Thread(
-            target=self._run, args=(now,), name="driver-scheduler", daemon=True)
+            target=self._run, args=(t0,), name="driver-scheduler", daemon=True)
         self._scheduler.start()
         log.info("scheduling %d driver(s)", n)
 
@@ -239,20 +249,31 @@ class DriverManager:
     def _push(self, due: float, slot: _DriverSlot | None) -> None:
         heapq.heappush(self._heap, (due, next(self._seq), slot))
 
-    def _schedule(self, slot: _DriverSlot, due: float) -> None:
-        """(Re)start a slot: a fresh device is made when it comes due."""
-        slot.device = None
-        slot.tick_here = 0
+    def _make_device(self, slot: _DriverSlot) -> bool:
+        """Give a slot a fresh device; False, the slot left dead, if the factory raises."""
+        try:
+            slot.device = self._device_factory(slot.spec, time.time())
+        except Exception:
+            log.exception("driver %s: device not made", slot.spec.topic)
+            return False
+        return True
+
+    def _schedule(self, slot: _DriverSlot, not_before: float) -> None:
+        """(Re)start a slot: queue its first tick at its first phase point >= ``not_before``."""
+        interval = slot.spec.interval_s
+        slot.k = max(0, math.ceil((not_before - slot.origin) / interval))
+        while slot.origin + slot.k * interval < not_before:  # rounding in the division
+            slot.k += 1
         slot.kill_requested = False
         slot.alive = True
-        self._push(due, slot)
+        self._push(slot.origin + slot.k * interval, slot)
 
     def _run(self, t0: float) -> None:
         sweeps = 1
         self._push(t0 + self._watchdog_period_s, None)  # None: the watchdog entry
         while True:
             delay = self._heap[0][0] - time.monotonic()
-            if delay > 0 and self._stop_lock.acquire(True, delay + self._slack_s):
+            if delay > 0 and self._stop_lock.acquire(True, delay):
                 return
             now = time.monotonic()
             with self._publisher.batch():
@@ -278,9 +299,6 @@ class DriverManager:
             log.warning("driver %s: killed", spec.topic)
             return False
         try:
-            if slot.device is None:
-                slot.device = self._device_factory(spec, time.time())
-                slot.anchor = time.monotonic()
             if self._max_ticks is None or slot.ticks < self._max_ticks:
                 self._tick(slot, slot.device)
         except Exception:
@@ -289,8 +307,8 @@ class DriverManager:
         if self._max_ticks is not None and slot.ticks >= self._max_ticks:
             slot.finished = True
             return False
-        slot.tick_here += 1
-        self._push(slot.anchor + slot.tick_here * spec.interval_s, slot)
+        slot.k += 1
+        self._push(slot.origin + slot.k * spec.interval_s, slot)
         return True
 
     def _tick(self, slot: _DriverSlot, device) -> None:
@@ -325,7 +343,8 @@ class DriverManager:
             slot.consecutive_restarts += 1
             log.warning("driver %s dead, restarting (restart %d)",
                         slot.spec.topic, slot.restart_count)
-            self._schedule(slot, time.monotonic())
+            if self._make_device(slot):
+                self._schedule(slot, time.monotonic())
 
     def _write_status_file(self) -> None:
         if self._status_path is None:

@@ -1,5 +1,6 @@
 """Device emulators, quantization, and driver manager supervision."""
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -29,7 +30,7 @@ from wattbus.devices import (
     quantize,
     seed_for_topic,
 )
-from wattbus.manager import DriverError, DriverManager, poll_once
+from wattbus.manager import PHASES, DriverError, DriverManager, poll_once
 from wattbus.model import Measurement, ProbeId, decode_measurement, encode_measurement
 from wattbus import signing
 from wattbus.signing import sign, verify
@@ -252,6 +253,32 @@ class TestPollOnce:
             poll_once(spec, device, now=1.0)
         assert excinfo.value.topic == "site/pdu3"
 
+    @pytest.mark.parametrize("shift, outlet", [(-1, 0), (1, 11)])
+    def test_reading_for_an_unknown_outlet_becomes_driver_error(self, shift, outlet):
+        # without prebuilt probes outlet 0 would publish as "site/pdu3-out0",
+        # a topic no config names, and outlet 11 as "site/pdu3-out11"
+        spec = pdu_spec()
+        with pytest.raises(DriverError, match=f"outlet {outlet} of 10"):
+            poll_once(spec, Renumbered(PullDevice(spec), shift), now=1.0)
+
+    @pytest.mark.parametrize("shift, outlet", [(-1, 0), (1, 11)])
+    def test_reading_for_an_unknown_outlet_becomes_driver_error_with_probes(self, shift, outlet):
+        # with prebuilt probes outlet 0 would index probes[-1], the last outlet
+        spec = pdu_spec()
+        with pytest.raises(DriverError, match=f"outlet {outlet} of 10"):
+            poll_once(spec, Renumbered(PullDevice(spec), shift), now=1.0,
+                      probes=spec.outlet_probes())
+
+
+class Renumbered:
+    """Shifts every outlet number a device reports, as an off-by-one driver would."""
+
+    def __init__(self, inner, shift):
+        self.inner, self.shift = inner, shift
+
+    def read(self, now):
+        return [r._replace(outlet=r.outlet + self.shift) for r in self.inner.read(now)]
+
 
 class TestWireBytes:
     # SHA-256 over every payload of a fixed fleet polled at fixed times,
@@ -283,12 +310,51 @@ class TestWireBytes:
         assert digest.hexdigest() == expected
 
 
-def ipmi_specs(n, interval=0.05):
+def ipmi_specs(n, interval=0.05, name="d"):
     return [
-        DriverSpec(ProbeId.parse(f"t/d{i}"), PROFILES["emulated-ipmi"],
+        DriverSpec(ProbeId.parse(f"t/{name}{i}"), PROFILES["emulated-ipmi"],
                    interval_s=interval, seed=i)
         for i in range(n)
     ]
+
+
+Read = collections.namedtuple("Read", "topic k made t wake")
+
+
+def count_waits(manager, waits):
+    """Count the scheduler's timed acquires (its waits between wakes) in waits[0].
+
+    Lock objects take no attributes, so a stand-in wraps the stop lock.
+    """
+    stop_lock = manager._stop_lock
+
+    class CountingLock:
+        def acquire(self, blocking=True, timeout=-1):
+            waits[0] += 1
+            return stop_lock.acquire(blocking, timeout)
+
+        def release(self):
+            stop_lock.release()
+
+    manager._stop_lock = CountingLock()
+
+
+def recording_factory(reads, waits):
+    """A device factory whose devices append one ``Read`` per read to reads.
+
+    ``made`` is the monotonic time the device was made, ``k`` the number of
+    earlier reads of that device and ``wake`` the wait count at the read.
+    """
+    class Recorded:
+        def __init__(self, device, topic):
+            self.device, self.topic, self.made, self.k = device, topic, time.monotonic(), 0
+
+        def read(self, now):
+            reads.append(Read(self.topic, self.k, self.made, time.monotonic(), waits[0]))
+            self.k += 1
+            return self.device.read(now)
+
+    return lambda spec, start: Recorded(make_device(spec, start), spec.topic)
 
 
 class TestDriverManager:
@@ -452,6 +518,19 @@ class TestDriverManager:
         assert status.lost == 4 * 4  # every third tick lost, 4 outlets
         assert status.published + status.lost == status.ticks * 4
 
+    def test_unknown_outlet_readings_are_counted_lost(self):
+        chan = InprocChannel()
+        manager = DriverManager([pdu_spec(interval=0.05)], chan, max_ticks=3,
+                                watchdog_period_s=60.0,
+                                device_factory=lambda spec, start: Renumbered(
+                                    PullDevice(spec), -1))
+        manager.start()
+        assert manager.wait_finished(timeout=10.0)
+        manager.stop()
+        status = manager.status_for("site/pdu3")
+        assert (status.ticks, status.lost, status.published) == (3, 30, 0)
+        assert chan.publish_calls == 0
+
     def test_quarantine_after_repeated_failures(self):
         chan = InprocChannel()
 
@@ -535,6 +614,117 @@ class TestDriverManager:
         assert 0 < waits <= ticks / 5
         assert len(reads) == ticks
         assert all(t >= made + k * interval for k, made, t in reads)
+
+    def test_scheduler_wakes_once_per_phase(self):
+        n, interval = 1000, 0.5
+        reads, waits = [], [0]
+        manager = DriverManager(ipmi_specs(n, interval=interval), InprocChannel(),
+                                max_ticks=3, watchdog_period_s=60.0,
+                                device_factory=recording_factory(reads, waits))
+        count_waits(manager, waits)
+        manager.start()
+        try:
+            assert manager.wait_finished(timeout=30.0)
+        finally:
+            manager.stop()
+        assert len(reads) == 3 * n
+        assert 0 < waits[0] <= 3 * PHASES + 2
+        wakes = collections.defaultdict(set)  # (phase, k) -> wakes its reads fell in
+        for r in reads:
+            i = int(r.topic.removeprefix("t/d"))
+            wakes[i * PHASES // n, r.k].add(r.wake)
+        assert len(wakes) == 3 * PHASES
+        assert all(len(w) == 1 for w in wakes.values())
+        assert all(r.t >= r.made + r.k * interval for r in reads)
+
+    def test_restarted_slot_ticks_in_its_phase_wake(self):
+        n, interval, period = 40, 0.2, 0.25
+        reads, waits = [], [0]
+        manager = DriverManager(ipmi_specs(n, interval=interval), InprocChannel(),
+                                watchdog_period_s=period,
+                                device_factory=recording_factory(reads, waits))
+        count_waits(manager, waits)
+        topic, partner = "t/d1", "t/d0"  # slots 0 and 1 of 40 share phase 0
+        manager.start()
+        try:
+            assert wait_until(lambda: manager.status_for(topic).published > 0)
+            manager.inject_failure(topic)
+            assert wait_until(lambda: manager.status_for(topic).restart_count == 1,
+                              timeout=2 * period + 1.0)
+            before = manager.status_for(topic).published
+            assert wait_until(lambda: manager.status_for(topic).published >= before + 3,
+                              timeout=10 * interval)
+        finally:
+            manager.stop()
+        first_made = min(r.made for r in reads if r.topic == topic)
+        last_wake = max(r.wake for r in reads)  # stop() may cut the last wake short
+        again = [r for r in reads
+                 if r.topic == topic and r.made > first_made and r.wake < last_wake]
+        assert len(again) >= 2
+        partner_wakes = {r.wake for r in reads if r.topic == partner}
+        assert all(r.wake in partner_wakes for r in again)
+        assert all(r.t >= r.made + r.k * interval for r in reads)
+
+    @pytest.mark.parametrize("good_makes", [0, 1])  # fails in start(), or on restart
+    def test_device_factory_that_raises_kills_only_its_slot(self, good_makes):
+        made = collections.Counter()
+        topic = "t/d1"
+
+        def factory(spec, start):
+            made[spec.topic] += 1
+            if spec.topic == topic and made[topic] > good_makes:
+                raise RuntimeError("device never comes up")
+            return make_device(spec, start)
+
+        chan = InprocChannel()
+        manager = DriverManager(ipmi_specs(3), chan, watchdog_period_s=0.1,
+                                restart_limit=2, device_factory=factory)
+        manager.start()
+        try:
+            assert manager.status_for(topic).alive == bool(good_makes)
+            assert manager.status_for("t/d0").alive and manager.status_for("t/d2").alive
+            if good_makes:
+                assert wait_until(lambda: manager.status_for(topic).published > 0)
+                manager.inject_failure(topic)
+            assert wait_until(lambda: manager.status_for(topic).quarantined, timeout=10.0)
+            status = manager.status_for(topic)
+            assert status.restart_count == 2
+            assert not status.alive
+            assert made[topic] == 3  # the first make, then one per restart
+            others = chan.publish_calls - status.published
+            assert wait_until(lambda: chan.publish_calls - status.published > others + 10)
+            assert manager.status_for(topic).published == status.published
+        finally:
+            manager.stop()
+        assert all(manager.status_for(t).restart_count == 0 for t in ("t/d0", "t/d2"))
+
+    def test_empty_fleet_starts_and_stops(self):
+        chan = InprocChannel()
+        manager = DriverManager([], chan, watchdog_period_s=0.05)
+        manager.start()
+        time.sleep(0.2)  # a few watchdog sweeps over no slots
+        assert manager.wait_finished(timeout=0)
+        manager.stop()
+        assert not manager._scheduler.is_alive()
+        assert manager.statuses() == [] and chan.publish_calls == 0
+
+    def test_mixed_intervals_publish_every_tick_none_early(self):
+        reads, waits = [], [0]
+        specs = ipmi_specs(10, interval=1.0, name="slow") + ipmi_specs(30, interval=0.3)
+        intervals = {s.topic: s.interval_s for s in specs}
+        chan = InprocChannel()
+        sub = chan.subscribe("")
+        manager = DriverManager(specs, chan, max_ticks=3, watchdog_period_s=60.0,
+                                device_factory=recording_factory(reads, waits))
+        manager.start()
+        try:
+            assert manager.wait_finished(timeout=15.0)
+        finally:
+            manager.stop()
+        assert [s.published for s in manager.statuses()] == [3] * len(specs)
+        assert sum(1 for _ in iter(lambda: sub.get(timeout=0.2), None)) == 3 * len(specs)
+        assert len(reads) == 3 * len(specs)
+        assert all(r.t >= r.made + r.k * intervals[r.topic] for r in reads)
 
     def test_stop_twice(self):
         manager = DriverManager(ipmi_specs(2), InprocChannel(), watchdog_period_s=60.0)
