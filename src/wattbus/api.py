@@ -18,6 +18,7 @@ from __future__ import annotations
 import hmac
 import logging
 import re
+from dataclasses import asdict
 
 from wattbus.consumer import ConsumerHandler, ConsumerServer
 from wattbus.energy import MeterState, gap_limits_from_probes
@@ -69,16 +70,8 @@ class _Handler(ConsumerHandler):
             self._reply_json(200, {"probes": server.state.snapshot()})
             return
         if path in ("/v1/status", "/v1/status/"):
-            c = server.state.counters()
-            self._reply_json(200, {
-                "ingested": c.ingested,
-                "rejected": c.rejected,
-                "malformed": c.malformed,
-                "out_of_order": c.out_of_order,
-                "gaps": c.gaps,
-                "evictions": c.evictions,
-                "probes": len(server.state),
-            })
+            self._reply_json(200, {**asdict(server.state.counters()),
+                                   "probes": len(server.state)})
             return
         match = _PROBE_PATH.match(path)
         if match:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import multiprocessing as mp
 import os
 import resource
@@ -63,8 +64,8 @@ class Scenario:
     def __post_init__(self):
         if self.fleet not in FLEETS:
             raise ValueError(f"unknown fleet {self.fleet!r} (known: {sorted(FLEETS)})")
-        if self.interval_s <= 0 or self.duration_s <= 0:
-            raise ValueError("interval_s and duration_s must be positive")
+        if not (0 < self.interval_s < math.inf and 0 < self.duration_s < math.inf):
+            raise ValueError("interval_s and duration_s must be positive and finite")
         if self.drivers is not None and self.drivers < 1:
             raise ValueError("drivers must be positive")
 
@@ -408,11 +409,16 @@ def load_scenario(path: str) -> Scenario:
     """Scenario from a JSON file with the Scenario field names."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: a scenario is a JSON object")
     allowed = {"name", "fleet", "signing", "interval_s", "duration_s", "drivers"}
     unknown = set(raw) - allowed
     if unknown:
         raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-    return Scenario(**raw)
+    try:
+        return Scenario(**raw)
+    except TypeError as exc:  # a missing field, or a value of the wrong type
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_results(results: list[ScenarioResult], path: str) -> None:

@@ -101,17 +101,21 @@ def _run_bench(args) -> int:
             transport=args.transport,
         )
     else:
-        if os.path.exists(args.scenario):
-            scenario = bench.load_scenario(args.scenario)
-        else:
-            scenario = bench.scenario_from_name(args.scenario)
-        if args.duration is not None or args.drivers is not None:
-            overrides = {}
-            if args.duration is not None:
-                overrides["duration_s"] = args.duration
-            if args.drivers is not None:
-                overrides["drivers"] = args.drivers
-            scenario = replace(scenario, **overrides)
+        try:
+            if os.path.exists(args.scenario):
+                scenario = bench.load_scenario(args.scenario)
+            else:
+                scenario = bench.scenario_from_name(args.scenario)
+            if args.duration is not None or args.drivers is not None:
+                overrides = {}
+                if args.duration is not None:
+                    overrides["duration_s"] = args.duration
+                if args.drivers is not None:
+                    overrides["drivers"] = args.drivers
+                scenario = replace(scenario, **overrides)
+        except (OSError, ValueError) as exc:
+            print(f"bad --scenario: {exc}", file=sys.stderr)
+            return 2
         results = [bench.run_scenario(scenario, transport=args.transport)]
     bench.write_results(results, args.out)
     for r in results:

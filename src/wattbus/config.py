@@ -1,7 +1,8 @@
 """Configuration parsing for all daemons.
 
 The format is classic INI: ``[section]`` headers, ``key = value`` lines,
-``#`` or ``;`` comments.  One file describes a whole deployment; each
+and ``#`` or ``;`` comments on lines of their own (a ``#`` after a value
+is part of the value).  One file describes a whole deployment; each
 daemon picks out the sections it needs.
 
 Sections::
@@ -15,35 +16,29 @@ Sections::
 
 Unknown sections and keys are ignored but recorded as warnings; structural
 problems (bad syntax, duplicate probes, missing driver keys) raise
-ConfigError.
+ConfigError.  This module only converts text, and every number must be
+finite; each range rule is checked by the type that holds the value.
 """
 
 from __future__ import annotations
 
 import configparser
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 
 from wattbus.bus import Endpoint
-from wattbus.devices import (
-    PROFILES,
-    PULL,
-    PUSH,
-    DeviceProfile,
-    DriverSpec,
-    load_trace,
-    seed_for_topic,
-)
+from wattbus.devices import PROFILES, DeviceProfile, DriverSpec, load_trace, seed_for_topic
 from wattbus.forwarder import ForwarderConfig
 from wattbus.model import ProbeId
-from wattbus.signing import MIN_SECRET_LEN
+from wattbus.rra import AVERAGE, check_archive
+from wattbus.signing import _check_secret
 
 log = logging.getLogger(__name__)
 
 DEFAULT_BIND = "tcp://127.0.0.1:5577"
 DEFAULT_ARCHIVES = ((1.0, 3600), (60.0, 1440), (3600.0, 720))
-CONSOLIDATIONS = ("average", "min", "max")
 
 
 class ConfigError(ValueError):
@@ -56,15 +51,10 @@ class ArchiveDef:
 
     step_s: float
     capacity: int
-    consolidation: str = "average"
+    consolidation: str = AVERAGE
 
     def __post_init__(self):
-        if self.step_s <= 0:
-            raise ValueError("archive step must be positive")
-        if self.capacity <= 0:
-            raise ValueError("archive capacity must be positive")
-        if self.consolidation not in CONSOLIDATIONS:
-            raise ValueError(f"unknown consolidation {self.consolidation!r}")
+        check_archive(self.step_s, self.capacity, self.consolidation)
 
 
 @dataclass(frozen=True)
@@ -73,6 +63,12 @@ class ApiConfig:
     tokens: tuple[str, ...] = ()
     stale_timeout_s: float = 300.0
     gap_limit_s: float = 60.0
+
+    def __post_init__(self):
+        if self.stale_timeout_s <= 0:
+            raise ValueError("stale_timeout_s must be positive")
+        if self.gap_limit_s <= 0:
+            raise ValueError("gap_limit_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -83,6 +79,12 @@ class VizConfig:
     archives: tuple[ArchiveDef, ...] = tuple(
         ArchiveDef(step, cap) for step, cap in DEFAULT_ARCHIVES
     )
+
+    def __post_init__(self):
+        if self.price_eur_per_kwh < 0:
+            raise ValueError("price_eur_per_kwh must not be negative")
+        if not self.archives:
+            raise ValueError("archives must define at least one archive")
 
 
 @dataclass
@@ -102,163 +104,155 @@ class FrameworkConfig:
 _KNOWN_KEYS = {
     "bus": {"bind", "connect"},
     "signing": {"secret"},
+    "probe:": {
+        "driver", "interval", "outlets", "seed", "watts_min", "watts_max",
+        "trace", "refresh", "precision", "mode",
+    },
     "api": {"listen", "tokens", "stale_timeout", "gap_limit"},
     "viz": {"listen", "data_dir", "price_eur_per_kwh", "archives", "consolidation"},
     "forwarder": {"upstreams", "bind"},
 }
-_PROBE_KEYS = {
-    "driver", "interval", "outlets", "seed", "watts_min", "watts_max",
-    "trace", "refresh", "precision", "mode",
-}
+_CUSTOM_KEYS = ("refresh", "precision", "mode")
 
 
-def _listen_address(section: str, value: str) -> tuple[str, int]:
-    host, sep, port_s = value.rpartition(":")
-    if not sep or not host:
-        raise ConfigError(f"[{section}] listen must be host:port, got {value!r}")
-    try:
-        port = int(port_s)
-    except ValueError:
-        raise ConfigError(f"[{section}] listen port must be an integer, got {port_s!r}") from None
-    if not 1 <= port <= 65535:
-        raise ConfigError(f"[{section}] listen port out of range: {port}")
-    return host, port
+class _Section:
+    """The keys of one section, each converted on read; errors name the section."""
 
+    def __init__(self, name: str, opts: dict[str, str], known: set[str],
+                 warnings: list[str]):
+        self.name = name
+        self._opts = opts
+        self._warnings = warnings
+        for key in opts:
+            if key not in known:
+                self.warn(f"ignoring unknown key {key!r}")
 
-def _positive_float(section: str, key: str, value: str) -> float:
-    try:
-        out = float(value)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a number, got {value!r}") from None
-    if out <= 0:
-        raise ConfigError(f"[{section}] {key} must be positive, got {value!r}")
-    return out
+    def __contains__(self, key: str) -> bool:
+        return key in self._opts
 
+    def warn(self, message: str) -> None:
+        self._warnings.append(f"[{self.name}] {message}")
 
-def _endpoint(section: str, key: str, value: str) -> Endpoint:
-    try:
-        return Endpoint.parse(value)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
+    def require(self, *keys: str, why: str = "missing mandatory key") -> None:
+        for key in keys:
+            if key not in self._opts:
+                raise ConfigError(f"[{self.name}] {why} {key!r}")
 
-
-def _parse_probe(section: str, topic: str, opts: dict[str, str],
-                 base_dir: str, warnings: list[str]) -> DriverSpec:
-    try:
-        probe = ProbeId.parse(topic)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}]: {exc}") from None
-
-    for key in opts:
-        if key not in _PROBE_KEYS:
-            warnings.append(f"[{section}] ignoring unknown key {key!r}")
-
-    if "driver" not in opts:
-        raise ConfigError(f"[{section}] missing mandatory key 'driver'")
-    driver = opts["driver"].strip().lower()
-
-    if driver == "custom":
-        for key in ("refresh", "precision", "mode"):
-            if key not in opts:
-                raise ConfigError(
-                    f"[{section}] driver 'custom' requires key {key!r}")
-        mode = opts["mode"].strip().lower()
-        if mode not in (PULL, PUSH):
-            raise ConfigError(f"[{section}] mode must be 'pull' or 'push', got {mode!r}")
-        try:
-            profile = DeviceProfile(
-                model=f"custom:{topic}",
-                interface="custom",
-                refresh_period_s=_positive_float(section, "refresh", opts["refresh"]),
-                precision_w=_positive_float(section, "precision", opts["precision"]),
-                mode=mode,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {exc}") from None
-    elif driver in PROFILES:
-        profile = PROFILES[driver]
-        for key in ("refresh", "precision", "mode"):
-            if key in opts:
-                warnings.append(
-                    f"[{section}] key {key!r} only applies to driver 'custom', ignored")
-    else:
-        known = ", ".join(sorted(k for k in PROFILES)) + ", custom"
-        raise ConfigError(f"[{section}] unknown driver {driver!r} (known: {known})")
-
-    interval = profile.refresh_period_s
-    if "interval" in opts:
-        interval = _positive_float(section, "interval", opts["interval"])
-
-    outlets = None
-    if "outlets" in opts:
-        try:
-            outlets = int(opts["outlets"])
-        except ValueError:
-            raise ConfigError(f"[{section}] outlets must be an integer") from None
-
-    seed = seed_for_topic(topic)
-    if "seed" in opts:
-        try:
-            seed = int(opts["seed"])
-        except ValueError:
-            raise ConfigError(f"[{section}] seed must be an integer") from None
-
-    trace = None
-    if "trace" in opts:
-        path = opts["trace"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        try:
-            trace = load_trace(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"[{section}] trace: {exc}") from None
-
-    def _watts(key: str, default: float) -> float:
-        if key not in opts:
+    def get(self, key: str, convert=str, default=None):
+        """``convert`` applied to the key's text, or ``default`` if it is absent."""
+        if key not in self._opts:
             return default
         try:
-            return float(opts[key])
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be a number") from None
+            return convert(self._opts[key])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"[{self.name}] {key}: {exc}") from None
 
-    watts_min = _watts("watts_min", 50.0)
-    watts_max = _watts("watts_max", 250.0)
+    def build(self, make, *args, **fields):
+        """``make(*args, **fields)``, its ``ValueError`` reported against this section.
 
-    try:
-        return DriverSpec(
-            probe=probe,
-            profile=profile,
-            interval_s=interval,
-            seed=seed,
-            watts_min=watts_min,
-            watts_max=watts_max,
-            trace=trace,
-            outlets=outlets,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
+        Fields that are None are left out, so an absent key keeps the default
+        of the type being built.
+        """
+        try:
+            return make(*args, **{k: v for k, v in fields.items() if v is not None})
+        except ValueError as exc:
+            raise ConfigError(f"[{self.name}] {exc}") from None
 
 
-def _parse_forwarder(opts: dict[str, str], warnings: list[str]) -> ForwarderConfig:
-    for key in opts:
-        if key not in _KNOWN_KEYS["forwarder"]:
-            warnings.append(f"[forwarder] ignoring unknown key {key!r}")
-    if "upstreams" not in opts:
-        raise ConfigError("[forwarder] missing mandatory key 'upstreams'")
-    if "bind" not in opts:
-        raise ConfigError("[forwarder] missing mandatory key 'bind'")
-    upstreams = []
-    for item in opts["upstreams"].split(","):
-        item = item.strip()
-        if not item:
-            continue
-        url, _, prefix = item.partition("|")
-        upstreams.append((_endpoint("forwarder", "upstreams", url.strip()), prefix.strip()))
-    bind = _endpoint("forwarder", "bind", opts["bind"])
-    try:
-        return ForwarderConfig(upstreams=tuple(upstreams), downstream_bind=bind)
-    except ValueError as exc:
-        raise ConfigError(f"[forwarder] {exc}") from None
+def _number(text: str) -> float:
+    """A finite float: NaN and infinities would only fail later, in a daemon."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _items(text: str) -> tuple[str, ...]:
+    """The non-empty entries of a comma-separated list, stripped."""
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+def _listen(text: str) -> tuple[str, int]:
+    """``host:port``, in the grammar of a ``tcp://`` bus endpoint."""
+    endpoint = Endpoint.parse(f"tcp://{text}")
+    return endpoint.host, endpoint.port
+
+
+def _upstreams(text: str) -> tuple[tuple[Endpoint, str], ...]:
+    """``url|prefix`` entries; an entry without ``|`` subscribes to every topic."""
+    pairs = (item.partition("|") for item in _items(text))
+    return tuple((Endpoint.parse(url.strip()), prefix.strip()) for url, _, prefix in pairs)
+
+
+def _archives(text: str, consolidation: str) -> tuple[ArchiveDef, ...]:
+    """``step:capacity[:consolidation]`` entries; ``consolidation`` is the default."""
+    archives = []
+    for item in _items(text):
+        parts = item.split(":")
+        if len(parts) not in (2, 3):
+            raise ValueError(
+                f"entries must be step:capacity[:consolidation], got {item!r}")
+        cons = parts[2].strip().lower() if len(parts) == 3 else consolidation
+        archives.append(ArchiveDef(_number(parts[0]), int(parts[1]), cons))
+    return tuple(archives)
+
+
+def _parse_probe(probe: _Section, base_dir: str) -> DriverSpec:
+    topic = probe.name[len("probe:"):]
+    probe_id = probe.build(ProbeId.parse, topic)
+    probe.require("driver")
+    driver = probe.get("driver", str.lower)
+
+    if driver == "custom":
+        probe.require(*_CUSTOM_KEYS, why="driver 'custom' requires key")
+        profile = probe.build(
+            DeviceProfile, model=f"custom:{topic}", interface="custom",
+            refresh_period_s=probe.get("refresh", _number),
+            precision_w=probe.get("precision", _number), mode=probe.get("mode", str.lower))
+    elif driver in PROFILES:
+        profile = PROFILES[driver]
+        for key in _CUSTOM_KEYS:
+            if key in probe:
+                probe.warn(f"key {key!r} only applies to driver 'custom', ignored")
+    else:
+        known = ", ".join(sorted(PROFILES)) + ", custom"
+        raise ConfigError(f"[{probe.name}] unknown driver {driver!r} (known: {known})")
+
+    return probe.build(
+        DriverSpec, probe=probe_id, profile=profile,
+        interval_s=probe.get("interval", _number, profile.refresh_period_s),
+        seed=probe.get("seed", int, seed_for_topic(topic)),
+        watts_min=probe.get("watts_min", _number), watts_max=probe.get("watts_max", _number),
+        trace=probe.get("trace", lambda path: load_trace(os.path.join(base_dir, path))),
+        outlets=probe.get("outlets", int))
+
+
+def _parse_api(api: _Section) -> ApiConfig:
+    tokens = api.get("tokens", _items, ())
+    if not tokens:
+        api.warn("no tokens configured; every request will be rejected")
+    return api.build(
+        ApiConfig, listen=api.get("listen", _listen), tokens=tokens,
+        stale_timeout_s=api.get("stale_timeout", _number),
+        gap_limit_s=api.get("gap_limit", _number))
+
+
+def _parse_viz(viz: _Section) -> VizConfig:
+    consolidation = viz.get("consolidation", str.lower, AVERAGE)
+    # built even when every configured archive names its own consolidation,
+    # so that a bad default is refused all the same
+    archives = viz.build(lambda: tuple(
+        ArchiveDef(step, cap, consolidation) for step, cap in DEFAULT_ARCHIVES))
+    return viz.build(
+        VizConfig, listen=viz.get("listen", _listen), data_dir=viz.get("data_dir"),
+        price_eur_per_kwh=viz.get("price_eur_per_kwh", _number),
+        archives=viz.get("archives", lambda text: _archives(text, consolidation), archives))
+
+
+def _parse_forwarder(forwarder: _Section) -> ForwarderConfig:
+    forwarder.require("upstreams", "bind")
+    return forwarder.build(ForwarderConfig, upstreams=forwarder.get("upstreams", _upstreams),
+                           downstream_bind=forwarder.get("bind", Endpoint.parse))
 
 
 def parse_config(text: str, base_dir: str = ".") -> FrameworkConfig:
@@ -284,44 +278,29 @@ def parse_config(text: str, base_dir: str = ".") -> FrameworkConfig:
 
     warnings: list[str] = []
     probes: list[DriverSpec] = []
-    api = ApiConfig()
-    viz = VizConfig()
-    forwarder = None
-    signing_secret = None
     bind = Endpoint.parse(DEFAULT_BIND)
     connect: Endpoint | None = None
+    given: dict = {}  # FrameworkConfig fields that a section sets
 
-    for section in parser.sections():
-        opts = dict(parser.items(section))
-        if section.startswith("probe:"):
-            probes.append(_parse_probe(section, section[len("probe:"):], opts,
-                                       base_dir, warnings))
-        elif section == "bus":
-            for key in opts:
-                if key not in _KNOWN_KEYS["bus"]:
-                    warnings.append(f"[bus] ignoring unknown key {key!r}")
-            if "bind" in opts:
-                bind = _endpoint("bus", "bind", opts["bind"])
-            if "connect" in opts:
-                connect = _endpoint("bus", "connect", opts["connect"])
-        elif section == "signing":
-            for key in opts:
-                if key not in _KNOWN_KEYS["signing"]:
-                    warnings.append(f"[signing] ignoring unknown key {key!r}")
-            if "secret" in opts:
-                secret = opts["secret"].encode("utf-8")
-                if len(secret) < MIN_SECRET_LEN:
-                    raise ConfigError(
-                        f"[signing] secret must be at least {MIN_SECRET_LEN} bytes")
-                signing_secret = secret
-        elif section == "api":
-            api = _parse_api(opts, warnings)
-        elif section == "viz":
-            viz = _parse_viz(opts, warnings)
-        elif section == "forwarder":
-            forwarder = _parse_forwarder(opts, warnings)
+    for name in parser.sections():
+        kind = "probe:" if name.startswith("probe:") else name
+        if kind not in _KNOWN_KEYS:
+            warnings.append(f"ignoring unknown section [{name}]")
+            continue
+        section = _Section(name, dict(parser.items(name)), _KNOWN_KEYS[kind], warnings)
+        if kind == "probe:":
+            probes.append(_parse_probe(section, base_dir))
+        elif kind == "bus":
+            bind = section.get("bind", Endpoint.parse, bind)
+            connect = section.get("connect", Endpoint.parse)
+        elif kind == "signing":
+            given["signing_secret"] = section.get("secret", _check_secret)
+        elif kind == "api":
+            given["api"] = _parse_api(section)
+        elif kind == "viz":
+            given["viz"] = _parse_viz(section)
         else:
-            warnings.append(f"ignoring unknown section [{section}]")
+            given["forwarder"] = _parse_forwarder(section)
 
     if not probes:
         raise ConfigError("no probes defined (need at least one [probe:<site>/<name>] section)")
@@ -344,85 +323,8 @@ def parse_config(text: str, base_dir: str = ".") -> FrameworkConfig:
     for message in warnings:
         log.warning("%s", message)
 
-    return FrameworkConfig(
-        bind=bind,
-        connect=connect,
-        probes=probes,
-        signing_secret=signing_secret,
-        api=api,
-        viz=viz,
-        forwarder=forwarder,
-        warnings=warnings,
-    )
-
-
-def _parse_api(opts: dict[str, str], warnings: list[str]) -> ApiConfig:
-    for key in opts:
-        if key not in _KNOWN_KEYS["api"]:
-            warnings.append(f"[api] ignoring unknown key {key!r}")
-    defaults = ApiConfig()
-    listen = defaults.listen
-    if "listen" in opts:
-        listen = _listen_address("api", opts["listen"])
-    tokens = tuple(t.strip() for t in opts.get("tokens", "").split(",") if t.strip())
-    if not tokens:
-        warnings.append("[api] no tokens configured; every request will be rejected")
-    stale = defaults.stale_timeout_s
-    if "stale_timeout" in opts:
-        stale = _positive_float("api", "stale_timeout", opts["stale_timeout"])
-    gap = defaults.gap_limit_s
-    if "gap_limit" in opts:
-        gap = _positive_float("api", "gap_limit", opts["gap_limit"])
-    return ApiConfig(listen=listen, tokens=tokens, stale_timeout_s=stale, gap_limit_s=gap)
-
-
-def _parse_viz(opts: dict[str, str], warnings: list[str]) -> VizConfig:
-    for key in opts:
-        if key not in _KNOWN_KEYS["viz"]:
-            warnings.append(f"[viz] ignoring unknown key {key!r}")
-    defaults = VizConfig()
-    listen = defaults.listen
-    if "listen" in opts:
-        listen = _listen_address("viz", opts["listen"])
-    data_dir = opts.get("data_dir", defaults.data_dir)
-    price = 0.0
-    if "price_eur_per_kwh" in opts:
-        try:
-            price = float(opts["price_eur_per_kwh"])
-        except ValueError:
-            raise ConfigError("[viz] price_eur_per_kwh must be a number") from None
-        if price < 0:
-            raise ConfigError("[viz] price_eur_per_kwh must not be negative")
-    consolidation = opts.get("consolidation", "average").strip().lower()
-    if consolidation not in CONSOLIDATIONS:
-        raise ConfigError(
-            f"[viz] consolidation must be one of {', '.join(CONSOLIDATIONS)}")
-    archives = tuple(ArchiveDef(step, cap, consolidation) for step, cap in DEFAULT_ARCHIVES)
-    if "archives" in opts:
-        parsed = []
-        for item in opts["archives"].split(","):
-            item = item.strip()
-            if not item:
-                continue
-            parts = item.split(":")
-            if len(parts) not in (2, 3):
-                raise ConfigError(
-                    f"[viz] archives entries must be step:capacity[:consolidation], got {item!r}")
-            step = _positive_float("viz", "archives", parts[0])
-            try:
-                capacity = int(parts[1])
-            except ValueError:
-                raise ConfigError(f"[viz] archive capacity must be an integer in {item!r}") from None
-            cons = parts[2].strip().lower() if len(parts) == 3 else consolidation
-            try:
-                parsed.append(ArchiveDef(step, capacity, cons))
-            except ValueError as exc:
-                raise ConfigError(f"[viz] {exc}") from None
-        if not parsed:
-            raise ConfigError("[viz] archives must define at least one archive")
-        archives = tuple(parsed)
-    return VizConfig(listen=listen, data_dir=data_dir,
-                     price_eur_per_kwh=price, archives=archives)
+    return FrameworkConfig(bind=bind, connect=connect, probes=probes, warnings=warnings,
+                           **given)
 
 
 def load_config(path: str) -> FrameworkConfig:

@@ -153,6 +153,9 @@ class DriverSpec:
             raise ValueError("watts_min must not exceed watts_max")
         if self.outlets is not None and self.outlets < 1:
             raise ValueError("outlets must be a positive integer")
+        # outlet i's power walk is keyed by seed + i, packed as a signed 64-bit int
+        if not -2 ** 63 <= self.seed + 1 <= 2 ** 63 - self.outlet_count:
+            raise ValueError("seed plus outlet number must fit in a signed 64-bit integer")
         if self.trace is not None and not self.trace:
             raise ValueError("trace must contain at least one value")
 
@@ -268,8 +271,8 @@ def load_trace(path: str) -> tuple[float, ...]:
                 w = float(text)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
-            if w < 0:
-                raise ValueError(f"{path}:{lineno}: negative watts")
+            if not 0 <= w < math.inf:
+                raise ValueError(f"{path}:{lineno}: watts must be finite and not negative")
             values.append(w)
     if not values:
         raise ValueError(f"{path}: trace file has no values")

@@ -57,6 +57,11 @@ class ProbeRecord:
     last_sample_timestamp: float
     received_at: float
 
+    def reading(self) -> dict:
+        """What the API serves for this probe."""
+        return {"w": self.last_w, "kwh": self.kwh_total,
+                "timestamp": self.last_sample_timestamp}
+
 
 @dataclass(frozen=True)
 class MeterCounters:
@@ -164,25 +169,12 @@ class MeterState:
     def snapshot(self) -> dict[str, dict]:
         """Consistent copy of every record, keyed by topic."""
         with self._lock:
-            return {
-                topic: {
-                    "w": record.last_w,
-                    "kwh": record.kwh_total,
-                    "timestamp": record.last_sample_timestamp,
-                }
-                for topic, record in self._records.items()
-            }
+            return {topic: record.reading() for topic, record in self._records.items()}
 
     def get(self, topic: str) -> dict | None:
         with self._lock:
             record = self._records.get(topic)
-            if record is None:
-                return None
-            return {
-                "w": record.last_w,
-                "kwh": record.kwh_total,
-                "timestamp": record.last_sample_timestamp,
-            }
+            return None if record is None else record.reading()
 
     def counters(self) -> MeterCounters:
         with self._lock:

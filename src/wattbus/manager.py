@@ -24,7 +24,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from wattbus.bus import Frame, Publisher
 from wattbus.devices import DeviceTimeout, DriverSpec, make_device, quantize
@@ -349,18 +349,7 @@ class DriverManager:
     def _write_status_file(self) -> None:
         if self._status_path is None:
             return
-        rows = []
-        for status in self.statuses():
-            rows.append(json.dumps({
-                "topic": status.topic,
-                "alive": status.alive,
-                "quarantined": status.quarantined,
-                "last_emit_timestamp": status.last_emit_timestamp,
-                "restart_count": status.restart_count,
-                "published": status.published,
-                "lost": status.lost,
-                "ticks": status.ticks,
-            }, sort_keys=True))
+        rows = [json.dumps(asdict(status), sort_keys=True) for status in self.statuses()]
         tmp = f"{self._status_path}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")

@@ -31,8 +31,7 @@ import struct
 
 MAGIC = b"WBRA0001"
 AVERAGE, MIN, MAX = "average", "min", "max"
-_CONS_CODE = {AVERAGE: 0, MIN: 1, MAX: 2}
-_CONS_NAME = {v: k for k, v in _CONS_CODE.items()}
+CONSOLIDATIONS = (AVERAGE, MIN, MAX)  # a name's index is its on-disk code
 
 _HEADER = struct.Struct("<8sdIBqQQ")
 _SLOT = struct.Struct("<qdQ")
@@ -40,6 +39,16 @@ _SLOT = struct.Struct("<qdQ")
 
 class ArchiveFormatError(ValueError):
     """Raised when an archive file is not in the documented format."""
+
+
+def check_archive(step_s: float, capacity: int, consolidation: str) -> None:
+    """Raise ValueError unless the three describe a valid archive."""
+    if not 0 < step_s < math.inf:  # a NaN step would fail in bucket_index, on ingest
+        raise ValueError("archive step must be positive and finite")
+    if capacity <= 0:
+        raise ValueError("archive capacity must be positive")
+    if consolidation not in CONSOLIDATIONS:
+        raise ValueError(f"unknown consolidation {consolidation!r}")
 
 
 def bucket_index(t: float, step_s: float) -> int:
@@ -51,12 +60,7 @@ class RoundRobinArchive:
     """One granularity of consolidated history for one probe."""
 
     def __init__(self, step_s: float, capacity: int, consolidation: str = AVERAGE):
-        if step_s <= 0:
-            raise ValueError("step_s must be positive")
-        if capacity <= 0:
-            raise ValueError("capacity must be a positive integer")
-        if consolidation not in _CONS_CODE:
-            raise ValueError(f"unknown consolidation {consolidation!r}")
+        check_archive(step_s, capacity, consolidation)
         self.step_s = float(step_s)
         self.capacity = int(capacity)
         self.consolidation = consolidation
@@ -157,7 +161,7 @@ class RoundRobinArchive:
 
     def dump_bytes(self) -> bytes:
         parts = [_HEADER.pack(
-            MAGIC, self.step_s, self.capacity, _CONS_CODE[self.consolidation],
+            MAGIC, self.step_s, self.capacity, CONSOLIDATIONS.index(self.consolidation),
             self._newest, self.late_drops, self.generation)]
         for i in range(self.capacity):
             parts.append(_SLOT.pack(self._bucket[i], self._acc[i], self._count[i]))
@@ -177,13 +181,13 @@ class RoundRobinArchive:
             _HEADER.unpack_from(data)
         if magic != MAGIC:
             raise ArchiveFormatError(f"bad magic {magic!r}")
-        if cons_code not in _CONS_NAME:
+        if cons_code >= len(CONSOLIDATIONS):
             raise ArchiveFormatError(f"unknown consolidation code {cons_code}")
         expected = _HEADER.size + capacity * _SLOT.size
         if len(data) != expected:
             raise ArchiveFormatError(
                 f"archive file is {len(data)} bytes, expected {expected}")
-        archive = cls(step_s, capacity, _CONS_NAME[cons_code])
+        archive = cls(step_s, capacity, CONSOLIDATIONS[cons_code])
         archive._newest = newest
         archive.late_drops = late
         archive.generation = generation

@@ -10,6 +10,7 @@ import urllib.request
 
 import pytest
 
+from wattbus import bench
 from wattbus.cli import build_parser, main
 
 
@@ -46,6 +47,35 @@ def test_bench_smoke_via_main(tmp_path):
 def test_bench_rejects_bad_sweep(tmp_path):
     assert main(["bench", "--sweep", "fast,slow",
                  "--out", str(tmp_path / "r.json")]) == 2
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("a bad scenario must be refused before any process starts")
+
+
+def test_bench_unknown_scenario_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "run_scenario", _no_run)
+    assert main(["bench", "--scenario", "no-such-scenario",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no-such-scenario" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"name": "n", "fleet": "ipmi", "signing": false, "interval_s": NaN, "duration_s": 1}',
+    '{"name": "n", "fleet": "ipmi", "signing": false, "interval_s": 1, "duration_s": Infinity}',
+    '{"name": "n", "fleet": "ipmi"}',
+    '{"name": "n", "fleet": "ipmi", "signing": false, "interval_s": "1", "duration_s": 1}',
+    '["not", "an", "object"]',
+    '{"name": ',
+], ids=["nan-interval", "inf-duration", "missing-fields", "string-interval", "list", "truncated"])
+def test_bench_bad_scenario_file(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.setattr(bench, "run_scenario", _no_run)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(text)
+    assert main(["bench", "--scenario", str(scenario), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 def _daemon(args, ignore_sigint=False):

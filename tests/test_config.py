@@ -1,5 +1,6 @@
 """Config grammar: the documented sample, validation errors, totality."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,8 @@ import hypothesis.strategies as st
 from wattbus.config import ArchiveDef, ConfigError, load_config, parse_config
 from wattbus.devices import PROFILES
 
-SAMPLE = Path(__file__).resolve().parent.parent / "docs" / "sample.conf"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = ROOT / "docs" / "sample.conf"
 
 MINIMAL = "[probe:siteA/ipmi1]\ndriver = ipmi\ninterval = 5\n"
 
@@ -206,3 +208,71 @@ def test_parse_config_is_total(text):
         parse_config(text)
     except ConfigError:
         pass
+
+
+def test_readme_example_parses_without_warnings():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Configuration format"):]
+    block = re.search(r"```ini\n(.*?)```", section, re.DOTALL).group(1)
+    assert parse_config(block).warnings == []
+
+
+def _probe(**keys) -> str:
+    opts = {"driver": "custom", "refresh": "1", "precision": "0.5", "mode": "pull", **keys}
+    return "[probe:a/b]\n" + "".join(f"{k} = {v}\n" for k, v in opts.items())
+
+
+# (section, key named in the error, config for a value, an out-of-range value);
+# every config parses with the value "2"
+NUMERIC_KEYS = [
+    pytest.param("probe:a/b", "interval", lambda v: _probe(interval=v), "0", id="interval"),
+    pytest.param("probe:a/b", "refresh", lambda v: _probe(refresh=v), "0", id="refresh"),
+    pytest.param("probe:a/b", "precision", lambda v: _probe(precision=v), "-0.5",
+                 id="precision"),
+    pytest.param("probe:a/b", "watts_min", lambda v: _probe(watts_min=v), "300",
+                 id="watts_min"),
+    pytest.param("probe:a/b", "watts_max", lambda v: _probe(watts_min=1, watts_max=v), "0.5",
+                 id="watts_max"),
+    pytest.param("probe:a/b", "outlets", lambda v: _probe(outlets=v), "0", id="outlets"),
+    pytest.param("probe:a/b", "seed", lambda v: _probe(seed=v), str(2 ** 63), id="seed"),
+    pytest.param("api", "stale_timeout",
+                 lambda v: MINIMAL + f"[api]\ntokens = t\nstale_timeout = {v}\n", "0",
+                 id="stale_timeout"),
+    pytest.param("api", "gap_limit",
+                 lambda v: MINIMAL + f"[api]\ntokens = t\ngap_limit = {v}\n", "-1",
+                 id="gap_limit"),
+    pytest.param("viz", "price_eur_per_kwh",
+                 lambda v: MINIMAL + f"[viz]\nprice_eur_per_kwh = {v}\n", "-0.1",
+                 id="price_eur_per_kwh"),
+    pytest.param("viz", "archives", lambda v: MINIMAL + f"[viz]\narchives = {v}:10\n", "0",
+                 id="archive-step"),
+    pytest.param("viz", "archives", lambda v: MINIMAL + f"[viz]\narchives = 60:{v}\n", "0",
+                 id="archive-capacity"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "out-of-range"])
+@pytest.mark.parametrize("section, key, config, out_of_range", NUMERIC_KEYS)
+def test_numeric_key_refuses_non_finite_and_out_of_range(section, key, config, out_of_range, value):
+    parse_config(config("2"))
+    text = config(out_of_range if value == "out-of-range" else value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"[{section}]" in str(err.value)
+    assert key in str(err.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_interval_never_reaches_the_driver_manager(value):
+    # DriverManager.start() finds each driver's first tick with
+    # math.ceil(elapsed / interval), which raises on NaN once the daemon runs
+    with pytest.raises(ConfigError, match=r"\[probe:a/b\] interval: must be a finite number"):
+        parse_config(f"[probe:a/b]\ndriver = ipmi\ninterval = {value}\n")
+
+
+def test_non_finite_archive_step_never_reaches_viz():
+    # VizState would floor(t / nan) on the first sample, in its ingest thread
+    with pytest.raises(ConfigError, match=r"\[viz\] archives: must be a finite number"):
+        parse_config(MINIMAL + "[viz]\narchives = nan:10\n")
+    with pytest.raises(ValueError, match="archive step"):
+        ArchiveDef(float("nan"), 10)

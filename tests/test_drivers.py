@@ -161,6 +161,16 @@ class TestProfiles:
         with pytest.raises(ValueError):
             DriverSpec(ProbeId.parse("a/b"), PROFILES["dell_idrac6"], interval_s=1.0)
 
+    @pytest.mark.parametrize("seed, outlets",
+                             [(2 ** 63 - 1, 1), (2 ** 63 - 10, 10), (-2 ** 63 - 2, 1)])
+    def test_every_outlet_seed_must_fit_64_bits(self, seed, outlets):
+        # seed + outlet keys the power walk, packed as a signed 64-bit integer
+        with pytest.raises(ValueError, match="seed"):
+            DriverSpec(ProbeId.parse("a/b"), PROFILES["emulated-pdu"], interval_s=1.0,
+                       seed=seed, outlets=outlets)
+        DriverSpec(ProbeId.parse("a/b"), PROFILES["emulated-pdu"], interval_s=1.0,
+                   seed=seed - 1 if seed > 0 else seed + 1, outlets=outlets)
+
 
 def pdu_spec(outlets=10, interval=1.0) -> DriverSpec:
     return DriverSpec(ProbeId.parse("site/pdu3"), PROFILES["emulated-pdu"],
@@ -217,6 +227,13 @@ class TestDevices:
         bad.write_text("ten\n")
         with pytest.raises(ValueError):
             load_trace(str(bad))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_trace_value_must_be_finite_and_not_negative(self, tmp_path, value):
+        path = tmp_path / "trace.txt"
+        path.write_text(f"10\n{value}\n")
+        with pytest.raises(ValueError, match="trace.txt:2"):
+            load_trace(str(path))
 
 
 class TestPollOnce:
@@ -373,6 +390,17 @@ class TestDriverManager:
         for f in frames:
             m = decode_measurement(f.payload)
             assert m.probe.topic == f.topic
+
+    def test_status_file_row_is_the_driver_status(self, tmp_path):
+        path = tmp_path / "status.jsonl"
+        manager = DriverManager(ipmi_specs(2), InprocChannel(), max_ticks=2,
+                                watchdog_period_s=60.0, status_path=str(path))
+        manager.start()
+        assert manager.wait_finished(timeout=10.0)
+        manager.stop()
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert rows == [dataclasses.asdict(status) for status in manager.statuses()]
+        assert [row["finished"] for row in rows] == [True, True]
 
     def test_each_wake_publishes_inside_one_batch(self):
         class Recording(InprocChannel):
