@@ -1,10 +1,12 @@
 """Benchmark harness: emulated device fleets through the full pipeline.
 
-A scenario spins up a driver process (publisher plus the driver manager's
-scheduler thread) and a separate counting consumer process, so the
-measurement side never shares an interpreter with the load generator.  The
-driver fleet runs a fixed number of ticks paced at the scenario interval,
-which makes the expected publication count exact: fleet size times ticks.
+A scenario spawns one child process that runs the driver fleet (publisher
+plus the driver manager's scheduler thread); the calling process subscribes
+and counts, so the measurement side never shares an interpreter with the
+load generator.  One pipe carries the child's endpoint URL and then its
+stats.  The driver fleet runs a fixed number of ticks paced at the scenario
+interval, which makes the expected publication count exact: fleet size
+times ticks.
 
 The two standard fleets:
 
@@ -13,11 +15,12 @@ The two standard fleets:
 
 Both place fleet_size*outlets/interval measurements per second on the bus.
 Reported jitter is the distribution of per-probe inter-arrival times at
-the consumer (pooled mean and p95); the burst report is the longest run of
-frames arriving closer than ``burst_window_s`` apart, which is how "data
-accumulates and arrives in chunks" shows up at small intervals.  CPU time
-per process is recorded for reporting; pass/fail in acceptance is always
-loss- and jitter-based because absolute CPU numbers are hardware-bound.
+the counting side (pooled mean and p95); the burst report is the longest
+run of frames arriving closer than ``burst_window_s`` apart, which is how
+"data accumulates and arrives in chunks" shows up at small intervals.  CPU
+time per process is recorded for reporting; pass/fail in acceptance is
+always loss- and jitter-based because absolute CPU numbers are
+hardware-bound.
 """
 
 from __future__ import annotations
@@ -150,9 +153,10 @@ def _cpu_seconds() -> float:
 
 
 def _driver_process(scenario: Scenario, endpoint_fields: dict, base_seed: int,
-                    port_queue, start_event, result_queue) -> None:
+                    conn) -> None:
+    """The fleet and its publisher: send the endpoint URL, then the run's stats."""
     publisher = Publisher(Endpoint(**endpoint_fields))
-    port_queue.put(str(publisher.endpoint))
+    conn.send(str(publisher.endpoint))
     manager = DriverManager(
         build_fleet(scenario, base_seed),
         publisher,
@@ -161,51 +165,46 @@ def _driver_process(scenario: Scenario, endpoint_fields: dict, base_seed: int,
         max_ticks=scenario.ticks,
         stagger=True,
     )
-    if not start_event.wait(timeout=60.0):
-        publisher.close()
-        result_queue.put(("driver", {"error": "consumer never connected"}))
-        return
-    # the consumer saw its connect succeed, but publishing must wait until
-    # this side has registered the connection or the first frames are lost
-    deadline = time.monotonic() + 30.0
+    # the counting side's connect succeeding is not enough: publishing waits
+    # until this side has registered the connection, or the first frames are lost
+    deadline = time.monotonic() + 60.0
     while publisher.subscriber_count < 1 and time.monotonic() < deadline:
         time.sleep(0.002)
     if publisher.subscriber_count < 1:
         publisher.close()
-        result_queue.put(("driver", {"error": "subscriber never registered"}))
+        conn.send({"error": "subscriber never registered"})
         return
+    t0 = time.monotonic()
     cpu0 = _cpu_seconds()
     manager.start()
     finished = manager.wait_finished(timeout=scenario.duration_s * 3 + 60.0)
     manager.stop()
     flushed = publisher.drain(timeout=30.0)
-    cpu = _cpu_seconds() - cpu0
     stats = {
         "published": manager.total_published,
         "lost": manager.total_lost,
         "queue_drops": publisher.drops,
-        "cpu_s": cpu,
+        "cpu_s": _cpu_seconds() - cpu0,
         "finished": finished,
         "flushed": flushed,
     }
     publisher.close()
-    result_queue.put(("driver", stats))
+    conn.send({**stats, "elapsed_s": time.monotonic() - t0})
 
 
-def _consumer_process(endpoint_url: str, secret: bytes | None,
-                      connected_event, stop_event, result_queue) -> None:
-    def on_event(event, detail):
-        if event == "connected":
-            connected_event.set()
+def _count_frames(sub, secret: bytes | None, driver_done, deadline: float) -> dict:
+    """Count, decode and verify frames until the driver is done and the bus idle.
 
-    sub = Subscriber(Endpoint.parse(endpoint_url), "", on_event=on_event)
+    ``driver_done()`` is polled only while no frame arrives; at the monotonic
+    ``deadline`` the count stops whatever the driver does.
+    """
     cpu0 = _cpu_seconds()
     arrivals: list[float] = []
     topics: list[str] = []
     verified = 0
     failures = 0
     last_activity = time.monotonic()
-    while True:
+    while time.monotonic() < deadline:
         frame = sub.get(timeout=0.25)
         now = time.monotonic()
         if frame is not None:
@@ -222,17 +221,15 @@ def _consumer_process(endpoint_url: str, secret: bytes | None,
                     verified += 1
                 else:
                     failures += 1
-        elif stop_event.is_set() and now - last_activity > IDLE_GRACE_S:
+        elif now - last_activity > IDLE_GRACE_S and driver_done():
             break
-    cpu = _cpu_seconds() - cpu0
-    sub.close()
-    result_queue.put(("consumer", {
+    return {
         "received": len(arrivals),
         "verified": verified,
         "verify_failures": failures,
-        "cpu_s": cpu,
+        "cpu_s": _cpu_seconds() - cpu0,
         **_arrival_stats(arrivals, topics),
-    }))
+    }
 
 
 def _arrival_stats(arrivals: list[float], topics: list[str]) -> dict:
@@ -269,91 +266,53 @@ def _arrival_stats(arrivals: list[float], topics: list[str]) -> dict:
 
 def run_scenario(scenario: Scenario, transport: str = "tcp",
                  base_seed: int = 20260811) -> ScenarioResult:
-    """Run one scenario end to end and gather both processes' numbers.
+    """Run one scenario: the fleet in one child process, the count in this one.
 
-    The driver fleet is held back until the counting consumer reports its
-    subscription is live, so a zero-drop run really means zero drops.
+    The driver holds the fleet back until it has registered this process's
+    subscription, so a zero-drop run really means zero drops.
     """
-    if transport == "tcp":
-        endpoint_fields = {"scheme": "tcp", "host": "127.0.0.1", "port": 0}
-    elif transport == "ipc":
-        sock_dir = tempfile.mkdtemp(prefix="wattbus-bench-")
-        endpoint_fields = {"scheme": "ipc", "path": os.path.join(sock_dir, "bus.sock")}
-    else:
+    if transport not in ("tcp", "ipc"):
         raise ValueError(f"unknown transport {transport!r}")
-
     ctx = mp.get_context("spawn")
-    port_queue = ctx.Queue()
-    result_queue = ctx.Queue()
-    start_event = ctx.Event()
-    connected_event = ctx.Event()
-    stop_event = ctx.Event()
-
-    driver = ctx.Process(
-        target=_driver_process,
-        args=(scenario, endpoint_fields, base_seed, port_queue, start_event, result_queue),
-        name="bench-driver")
-    driver.start()
-    try:
-        endpoint_url = port_queue.get(timeout=60.0)
-    except Exception:
-        driver.kill()
-        raise RuntimeError("driver process failed to bind the bus endpoint")
-
-    secret = BENCH_SECRET if scenario.signing else None
-    consumer = ctx.Process(
-        target=_consumer_process,
-        args=(endpoint_url, secret, connected_event, stop_event, result_queue),
-        name="bench-consumer")
-    consumer.start()
-
-    valid = True
-    if not connected_event.wait(timeout=60.0):
-        valid = False
-        log.error("consumer never connected; results will be invalid")
-    t0 = time.monotonic()
-    start_event.set()
-
-    driver.join(timeout=scenario.duration_s * 3 + 120.0)
-    if driver.is_alive():
-        driver.kill()
-        driver.join()
-        valid = False
-        log.error("driver process hung; killed")
-    elapsed = time.monotonic() - t0
-    stop_event.set()
-    consumer.join(timeout=60.0)
-    if consumer.is_alive() or consumer.exitcode != 0:
-        if consumer.is_alive():
-            consumer.kill()
-            consumer.join()
-        valid = False
-        log.error("consumer process died mid-run; results flagged invalid")
-
-    stats: dict[str, dict] = {}
-    while len(stats) < 2:
+    with tempfile.TemporaryDirectory(prefix="wattbus-bench-") as sock_dir:
+        if transport == "tcp":
+            endpoint_fields = {"scheme": "tcp", "host": "127.0.0.1", "port": 0}
+        else:
+            endpoint_fields = {"scheme": "ipc", "path": os.path.join(sock_dir, "bus.sock")}
+        reader, writer = ctx.Pipe(duplex=False)
+        driver = ctx.Process(
+            target=_driver_process,
+            args=(scenario, endpoint_fields, base_seed, writer),
+            name="bench-driver")
+        driver.start()
+        writer.close()  # the reader sees EOF once the driver is gone
         try:
-            who, payload = result_queue.get(timeout=5.0)
-        except Exception:
-            break
-        stats[who] = payload
-    driver_stats = stats.get("driver", {})
-    consumer_stats = stats.get("consumer", {})
-    if "error" in driver_stats or not driver_stats or not consumer_stats:
-        valid = False
-
-    if transport == "ipc":
-        try:
-            os.unlink(endpoint_fields["path"])
-        except OSError:
-            pass
-        try:
-            os.rmdir(os.path.dirname(endpoint_fields["path"]))
-        except OSError:
-            pass
+            if not reader.poll(60.0):
+                raise RuntimeError("driver process never reported its bus endpoint")
+            t0 = time.monotonic()
+            sub = Subscriber(Endpoint.parse(reader.recv()), "")
+            try:
+                counted = _count_frames(
+                    sub, BENCH_SECRET if scenario.signing else None,
+                    lambda: reader.poll() or not driver.is_alive(),
+                    t0 + scenario.duration_s * 3 + 120.0)
+            finally:
+                sub.close()
+            elapsed = time.monotonic() - t0
+            driver.join(timeout=30.0)
+            hung = driver.is_alive()
+            try:
+                driver_stats = reader.recv() if reader.poll() else {}
+            except EOFError:  # the driver died without reporting
+                driver_stats = {}
+        finally:
+            if driver.is_alive():
+                driver.kill()
+                log.error("driver process hung; killed")
+            driver.join()
+            reader.close()
 
     published = driver_stats.get("published", 0)
-    received = consumer_stats.get("received", 0)
     return ScenarioResult(
         name=scenario.name,
         fleet=scenario.fleet,
@@ -361,21 +320,21 @@ def run_scenario(scenario: Scenario, transport: str = "tcp",
         interval_s=scenario.interval_s,
         duration_s=scenario.duration_s,
         frames_published=published,
-        frames_received=received,
-        drops=max(0, published - received),
+        frames_received=counted["received"],
+        drops=max(0, published - counted["received"]),
         publisher_queue_drops=driver_stats.get("queue_drops", 0),
         lost_measurements=driver_stats.get("lost", 0),
-        verified=consumer_stats.get("verified", 0),
-        verify_failures=consumer_stats.get("verify_failures", 0),
-        jitter_mean_s=consumer_stats.get("jitter_mean_s", 0.0),
-        jitter_p95_s=consumer_stats.get("jitter_p95_s", 0.0),
-        jitter_samples=consumer_stats.get("jitter_samples", 0),
-        max_burst=consumer_stats.get("max_burst", 0),
+        verified=counted["verified"],
+        verify_failures=counted["verify_failures"],
+        jitter_mean_s=counted["jitter_mean_s"],
+        jitter_p95_s=counted["jitter_p95_s"],
+        jitter_samples=counted["jitter_samples"],
+        max_burst=counted["max_burst"],
         burst_window_s=BURST_WINDOW_S,
         driver_cpu_s=driver_stats.get("cpu_s", 0.0),
-        consumer_cpu_s=consumer_stats.get("cpu_s", 0.0),
-        elapsed_s=elapsed,
-        valid=valid and driver_stats.get("finished", False),
+        consumer_cpu_s=counted["cpu_s"],
+        elapsed_s=driver_stats.get("elapsed_s", elapsed),
+        valid=not hung and driver_stats.get("finished", False),
     )
 
 

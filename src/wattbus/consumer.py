@@ -5,7 +5,8 @@ it, and one periodic task.  ``ConsumerServer`` owns everything else: the
 HTTP server, the optional bus ``Subscriber``, and the HTTP, ingest and
 periodic threads.  Undecodable payloads are counted on the state
 (``count_malformed``) and skipped; every other payload goes to
-``state.ingest``.
+``state.ingest``.  An exception from ``state.ingest`` is logged and counted
+in ``ingest_errors``, and ingest goes on with the next frame.
 
 Only consumer daemons import this module: it pulls in ``http.server``,
 which the driver process has no use for.
@@ -63,6 +64,7 @@ class ConsumerServer:
         self._threads: list[threading.Thread] = []
         self._subscriber: Subscriber | None = None
         self._stop = threading.Event()
+        self.ingest_errors = 0  # state.ingest calls that raised
 
     @property
     def address(self) -> tuple[str, int]:
@@ -103,7 +105,11 @@ class ConsumerServer:
                 self.state.count_malformed()
                 log.warning("undecodable payload on %r: %s", frame.topic, exc)
                 continue
-            self.state.ingest(m)
+            try:
+                self.state.ingest(m)
+            except Exception:  # one bad measurement must not end ingest for good
+                self.ingest_errors += 1
+                log.exception("ingest failed on %r", frame.topic)
 
     def _periodic_loop(self) -> None:
         while not self._stop.wait(self._period_s):

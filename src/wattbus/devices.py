@@ -20,6 +20,9 @@ from wattbus.model import ProbeId
 
 PULL = "pull"
 PUSH = "push"
+# a driver builds a probe id and a power walk per outlet; the largest
+# catalogue device has 10
+MAX_OUTLETS = 1024
 
 
 class DeviceTimeout(Exception):
@@ -151,8 +154,8 @@ class DriverSpec:
                 f"{self.profile.model} refresh period {self.profile.refresh_period_s}s")
         if self.watts_min > self.watts_max:
             raise ValueError("watts_min must not exceed watts_max")
-        if self.outlets is not None and self.outlets < 1:
-            raise ValueError("outlets must be a positive integer")
+        if self.outlets is not None and not 1 <= self.outlets <= MAX_OUTLETS:
+            raise ValueError(f"outlets must be an integer from 1 to {MAX_OUTLETS}")
         # outlet i's power walk is keyed by seed + i, packed as a signed 64-bit int
         if not -2 ** 63 <= self.seed + 1 <= 2 ** 63 - self.outlet_count:
             raise ValueError("seed plus outlet number must fit in a signed 64-bit integer")

@@ -116,13 +116,10 @@ class Measurement:
             raise DecodeError("signature must be a lowercase hex string", "signature")
 
     def without_signature(self) -> "Measurement":
+        """``self`` with no signature; the fields were checked when it was made."""
         if self.signature is None:
             return self
-        return Measurement(self.probe, self.timestamp, self.watts, self.volts, self.amps)
-
-    def with_signature(self, signature: str) -> "Measurement":
-        return Measurement(self.probe, self.timestamp, self.watts, self.volts, self.amps,
-                           signature)
+        return _copy(self, None, None)
 
 
 def encode_measurement(m: Measurement) -> bytes:
@@ -175,12 +172,17 @@ def signed_copy(m: Measurement, signature: str, halves: tuple[str, str]) -> Meas
     ``canonical_halves(m)`` returned.  The copy keeps its wire bytes, so
     ``encode_measurement`` does not build them again.
     """
-    signed = object.__new__(Measurement)
-    state = signed.__dict__  # frozen: fill the instance dict, as __init__ does
+    return _copy(m, signature, _with_signature_slot(halves[0], signature, halves[1]))
+
+
+def _copy(m: Measurement, signature: str | None, wire: bytes | None) -> Measurement:
+    """``m`` with ``signature`` and wire bytes ``wire``, no field checked again."""
+    twin = object.__new__(Measurement)
+    state = twin.__dict__  # frozen: fill the instance dict, as __init__ does
     state.update(m.__dict__)
     state["signature"] = signature
-    state["_wire"] = _with_signature_slot(halves[0], signature, halves[1])
-    return signed
+    state["_wire"] = wire
+    return twin
 
 
 def _number(x) -> str:
@@ -199,6 +201,8 @@ def decode_measurement(b: bytes) -> Measurement:
         obj = json.loads(b.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DecodeError(f"payload is not valid JSON: {exc}") from exc
+    except RecursionError:  # e.g. 60,000 nested "[" fit in one frame
+        raise DecodeError("payload nests too deeply") from None
     if not isinstance(obj, dict):
         raise DecodeError("payload must be a JSON object")
 

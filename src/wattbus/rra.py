@@ -25,6 +25,7 @@ min/max it is the consolidated value itself.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
@@ -156,6 +157,14 @@ class RoundRobinArchive:
 
     def __len__(self) -> int:
         return sum(1 for i in range(self.capacity) if self._bucket[i] != -1)
+
+    def copy(self) -> "RoundRobinArchive":
+        """An independent copy, to save while this archive keeps updating."""
+        twin = copy.copy(self)
+        twin._bucket = self._bucket.copy()
+        twin._acc = self._acc.copy()
+        twin._count = self._count.copy()
+        return twin
 
     # -- persistence ------------------------------------------------------
 

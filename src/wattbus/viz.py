@@ -102,10 +102,13 @@ class _ProbeArchives:
         for archive in self.archives:
             archive.update(t, w)
 
-    def flush(self) -> None:
+    def flush(self, lock: threading.Lock) -> None:
+        """Save copies of the archives taken under ``lock``, writing outside it."""
         if self.dir is None:
             return
-        for d, archive in zip(self.defs, self.archives):
+        with lock:
+            copies = [archive.copy() for archive in self.archives]
+        for d, archive in zip(self.defs, copies):
             archive.save(os.path.join(self.dir, _archive_filename(d)))
 
     def select(self, step_s: float | None, t_from: float | None) -> RoundRobinArchive:
@@ -142,6 +145,7 @@ class VizState:
         self._cache_dir = cache_dir or os.path.join(self._data_dir, "charts")
         os.makedirs(self._cache_dir, exist_ok=True)
         self._lock = threading.Lock()
+        self._flush_lock = threading.Lock()  # one flush at a time writes the files
         self._probes: dict[str, _ProbeArchives] = {}
         self.ingested = 0
         self.rejected = 0
@@ -168,9 +172,12 @@ class VizState:
             self.malformed += 1
 
     def flush(self) -> None:
-        with self._lock:
-            for arch in self._probes.values():
-                arch.flush()
+        """Write every archive to disk; ingest only waits while one probe is copied."""
+        with self._flush_lock:
+            with self._lock:
+                probes = list(self._probes.values())
+            for arch in probes:
+                arch.flush(self._lock)
 
     def probes(self) -> list[str]:
         with self._lock:

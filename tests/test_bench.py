@@ -1,11 +1,15 @@
 """Harness smoke runs with small fleets; full-size runs live in acceptance."""
 
 import json
+import multiprocessing
+import tempfile
+import time
 
 import pytest
 
 from wattbus.bench import (
     Scenario,
+    _count_frames,
     build_fleet,
     load_scenario,
     run_scenario,
@@ -18,6 +22,15 @@ from wattbus.bench import (
 def smoke(name="smoke", fleet="ipmi", signing=False, interval=0.1,
           duration=1.0, drivers=20) -> Scenario:
     return Scenario(name, fleet, signing, interval, duration, drivers=drivers)
+
+
+@pytest.fixture
+def bench_tmp(tmp_path, monkeypatch):
+    """Temporary files of the run go to tmp_path, which must stay empty."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    yield tmp_path
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.glob("wattbus-bench-*")) == []
 
 
 class TestScenario:
@@ -77,7 +90,7 @@ class TestScenario:
 
 
 class TestRunScenario:
-    def test_smoke_unsigned(self):
+    def test_smoke_unsigned(self, bench_tmp):
         scenario = smoke(duration=1.0, interval=0.1, drivers=20)
         result = run_scenario(scenario)
         assert result.valid
@@ -105,7 +118,7 @@ class TestRunScenario:
         assert result.frames_received == 120
         assert result.drops == 0
 
-    def test_smoke_over_ipc(self):
+    def test_smoke_over_ipc(self, bench_tmp):
         scenario = smoke(duration=0.6, interval=0.2, drivers=5)
         result = run_scenario(scenario, transport="ipc")
         assert result.valid
@@ -128,3 +141,16 @@ class TestRunScenario:
                     "jitter_p95_s", "max_burst", "driver_cpu_s",
                     "consumer_cpu_s", "valid"):
             assert key in row
+
+
+class _SilentSubscriber:
+    def get(self, timeout):
+        time.sleep(timeout)
+        return None
+
+
+def test_count_stops_at_its_deadline_when_the_driver_never_exits():
+    started = time.monotonic()
+    counted = _count_frames(_SilentSubscriber(), None, lambda: False, started + 0.5)
+    assert 0.5 <= time.monotonic() - started < 2.0
+    assert counted["received"] == 0

@@ -234,6 +234,8 @@ NUMERIC_KEYS = [
     pytest.param("probe:a/b", "watts_max", lambda v: _probe(watts_min=1, watts_max=v), "0.5",
                  id="watts_max"),
     pytest.param("probe:a/b", "outlets", lambda v: _probe(outlets=v), "0", id="outlets"),
+    pytest.param("probe:a/b", "outlets", lambda v: _probe(outlets=v),
+                 "99999999999999999999999", id="outlets-huge"),
     pytest.param("probe:a/b", "seed", lambda v: _probe(seed=v), str(2 ** 63), id="seed"),
     pytest.param("api", "stale_timeout",
                  lambda v: MINIMAL + f"[api]\ntokens = t\nstale_timeout = {v}\n", "0",

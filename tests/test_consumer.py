@@ -44,15 +44,43 @@ def test_ingest_counts_malformed_then_ingests_and_close_ends_threads(tmp_path, m
         server.start(subscribe=pub.endpoint)
         assert wait_until(lambda: pub.subscriber_count == 1)
         pub.publish(Frame("s/p", b'{"probe":"s/p","timestamp":1,"w":-5}'))
+        pub.publish(Frame("s/p", b"[" * 60000))  # too deep for json.loads, fits in a frame
         m = Measurement(ProbeId("s", "p"), 2.0, 40.0)
         pub.publish(Frame("s/p", encode_measurement(m)))
-        assert wait_until(lambda: counts() == (1, 1)), counts()
+        assert wait_until(lambda: counts() == (2, 1)), counts()
+        assert server.ingest_errors == 0
     finally:
         threads = server._threads + [server._subscriber._thread]
         server.close()
         pub.close()
     assert len(threads) == 4  # HTTP, ingest, periodic, subscriber reader
     assert not [t.name for t in threads if t.is_alive()]
+
+
+@pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])
+def test_ingest_error_is_counted_and_ingest_goes_on(tmp_path, make):
+    server, counts = make(tmp_path)
+    ingest = server.state.ingest
+    calls = []
+
+    def ingest_raising_once(m):
+        calls.append(m)
+        if len(calls) == 1:
+            raise ValueError("cannot convert float NaN to integer")
+        ingest(m)
+
+    server.state.ingest = ingest_raising_once
+    pub = Publisher(Endpoint("tcp", host="127.0.0.1", port=0))
+    try:
+        server.start(subscribe=pub.endpoint)
+        assert wait_until(lambda: pub.subscriber_count == 1)
+        for t in (1.0, 2.0):
+            pub.publish(Frame("s/p", encode_measurement(Measurement(ProbeId("s", "p"), t, 40.0))))
+        assert wait_until(lambda: counts() == (0, 1)), counts()
+        assert server.ingest_errors == 1
+    finally:
+        server.close()
+        pub.close()
 
 
 @pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])

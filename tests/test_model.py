@@ -1,5 +1,6 @@
 """Payload codec: canonical bytes, round-trips, structured decode errors."""
 
+import dataclasses
 import hashlib
 import hmac
 import json
@@ -159,8 +160,12 @@ class TestEncoderMatchesJsonDumps:
         m = m.without_signature()
         sig = hmac.new(key, reference_encode(m), hashlib.sha256).hexdigest()
         signed = sign(m, key)
-        assert encode_measurement(signed) == reference_encode(m.with_signature(sig))
-        assert signed == m.with_signature(sig)
+        expected = dataclasses.replace(m, signature=sig)
+        assert encode_measurement(signed) == reference_encode(expected)
+        assert signed == expected
+        # the unsigned copy drops the signed wire bytes along with the signature
+        assert signed.without_signature() == m
+        assert encode_measurement(signed.without_signature()) == reference_encode(m)
 
     def test_number_subclass_encodes_as_its_base_type(self):
         class Watts(float):
@@ -216,6 +221,8 @@ class TestDecode:
             decode_measurement(b"not json at all")
         with pytest.raises(DecodeError):
             decode_measurement(b"\xff\xfe")
+        with pytest.raises(DecodeError):  # json.loads raises RecursionError here
+            decode_measurement(b"[" * 60000)
 
     def test_non_object_json(self):
         with pytest.raises(DecodeError):

@@ -186,6 +186,17 @@ class TestPersistence:
         b.update(15.0, 20.0)
         assert b.fetch_all() == [(0.0, 10.0), (10.0, 20.0)]
 
+    def test_copy_is_independent(self):
+        a = RoundRobinArchive(10.0, 4, AVERAGE)
+        a.update(5.0, 10.0)
+        twin = a.copy()
+        a.update(15.0, 20.0)
+        a.update(2.0, 1.0)  # late
+        assert twin.fetch_all() == [(0.0, 10.0)]
+        assert (twin.generation, twin.late_drops) == (1, 0)
+        twin.update(25.0, 30.0)
+        assert a.fetch_all() == [(0.0, 10.0), (10.0, 20.0)]
+
     def test_documented_header_layout(self, tmp_path):
         a = RoundRobinArchive(60.0, 3, MAX)
         a.update(61.0, 5.0)

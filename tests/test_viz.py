@@ -1,6 +1,7 @@
 """Chart statistics, cost, the render cache, and the viz HTTP surface."""
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -8,6 +9,7 @@ import pytest
 
 from wattbus.config import ArchiveDef, VizConfig
 from wattbus.model import Measurement, ProbeId
+from wattbus.rra import RoundRobinArchive
 from wattbus.signing import sign
 from wattbus.viz import (
     StatsError,
@@ -147,6 +149,35 @@ class TestVizState:
         assert fine.avg_w == coarse.avg_w == 100.0
         with pytest.raises(StatsError):
             state.stats("a/p", step_s=999.0)
+
+    def test_ingest_runs_while_flush_writes(self, state, tmp_path, monkeypatch):
+        state.ingest(m("a/p", 100.0, 150.0))
+        saving, release = threading.Event(), threading.Event()
+        save = RoundRobinArchive.save
+
+        def held_save(archive, path):
+            saving.set()
+            release.wait(10.0)
+            save(archive, path)
+
+        monkeypatch.setattr(RoundRobinArchive, "save", held_save)
+        flusher = threading.Thread(target=state.flush)
+        flusher.start()
+        try:
+            assert saving.wait(5.0)
+            ingester = threading.Thread(target=state.ingest, args=(m("a/p", 110.0, 250.0),))
+            ingester.start()
+            ingester.join(timeout=5.0)
+            assert not ingester.is_alive(), "ingest waited for the flush to write its files"
+        finally:
+            release.set()
+            flusher.join(timeout=10.0)
+        assert not flusher.is_alive()
+        assert state.ingested == 2
+        # the files hold the archives as they were when the flush copied them
+        fresh = VizState(small_viz_config(), data_dir=str(tmp_path / "data"))
+        fresh.ingest(m("a/p", 105.0, 150.0))
+        assert fresh.stats("a/p").max_w == 150.0
 
     def test_persistence_flush_and_reload(self, tmp_path):
         data_dir = str(tmp_path / "data")
