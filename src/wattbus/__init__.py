@@ -20,12 +20,10 @@ from wattbus.bus import (
     Endpoint,
     Frame,
     FrameError,
-    InprocChannel,
     Publisher,
     Subscriber,
     frame_decode,
     frame_encode,
-    match_prefix,
 )
 from wattbus.config import ConfigError, FrameworkConfig, parse_config
 
@@ -38,7 +36,6 @@ __all__ = [
     "Frame",
     "FrameError",
     "FrameworkConfig",
-    "InprocChannel",
     "Measurement",
     "ProbeId",
     "Publisher",
@@ -48,7 +45,6 @@ __all__ = [
     "encode_measurement",
     "frame_decode",
     "frame_encode",
-    "match_prefix",
     "parse_config",
     "sign",
     "verify",

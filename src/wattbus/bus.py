@@ -1,5 +1,8 @@
 """Broker-less publish/subscribe transport with prefix-filtered topics.
 
+Its tcp and ipc sockets are the only transport: a consumer in the
+publisher's own process connects to the same endpoint as one elsewhere.
+
 Wire protocol (bit-exact):
 
 * A frame is ``length(4 bytes, big-endian) || topic || 0x00 || payload``
@@ -22,8 +25,8 @@ closed subscribers.  A slow consumer overflows only its own queue: the
 oldest frames not yet offered to the kernel are dropped (counted in
 ``drops``), and other subscribers are unaffected.  A ``Subscriber``
 stops reading while ``SUBSCRIBER_QUEUE_FRAMES`` frames wait in its local
-queue, so a consumer that stalls pushes back through TCP into that
-publisher queue.
+queue, and never drops one itself, so a consumer that stalls pushes back
+through the socket into that publisher queue.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import struct
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -94,11 +97,6 @@ def frame_decode(data: bytes) -> Frame:
     except UnicodeDecodeError as exc:
         raise FrameError(f"topic is not valid UTF-8: {exc}") from exc
     return Frame(topic, bytes(body[sep + 1:]))
-
-
-def match_prefix(prefix: str, topic: str) -> bool:
-    """True iff ``topic`` starts with ``prefix``, compared byte-wise."""
-    return topic.encode("utf-8").startswith(prefix.encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -242,7 +240,7 @@ class Publisher:
     kernel buffer filled, so one slow consumer cannot stall the others.
     """
 
-    def __init__(self, endpoint: Endpoint, queue_size: int = 10_000,
+    def __init__(self, endpoint: Endpoint, queue_size: int = SUBSCRIBER_QUEUE_FRAMES,
                  handshake_timeout: float = 5.0):
         self._queue_size = queue_size
         self._handshake_timeout = handshake_timeout
@@ -476,56 +474,7 @@ class Publisher:
                 os.unlink(self.endpoint.path)
 
 
-class _FrameQueue:
-    """Frames waiting for one consumer, read with ``get`` or iteration.
-
-    With ``maxlen`` set, a put onto a full queue drops the oldest frame and
-    counts it in ``drops``; without it the queue is unbounded.
-    """
-
-    def __init__(self, maxlen: int | None = None):
-        self._queue: deque[Frame] = deque(maxlen=maxlen)
-        self._cond = threading.Condition()
-        self._closed = False
-        self._producer_waiting = False  # set by a producer that waits for room
-        self.frames_received = 0
-        self.drops = 0
-
-    def _put(self, frames) -> None:
-        with self._cond:
-            if self._closed:
-                return
-            for f in frames:
-                if len(self._queue) == self._queue.maxlen:
-                    self.drops += 1  # the append below evicts the oldest
-                self._queue.append(f)
-                self.frames_received += 1
-            self._cond.notify_all()
-
-    def _close_queue(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    def get(self, timeout: float | None = None) -> Frame | None:
-        """Next frame, or None on timeout / after close."""
-        with self._cond:
-            if not self._queue:
-                self._cond.wait_for(lambda: self._queue or self._closed, timeout)
-                if not self._queue:
-                    return None  # timed out, or closed and empty
-            if self._producer_waiting:
-                self._producer_waiting = False
-                self._cond.notify_all()
-            return self._queue.popleft()
-
-    def __iter__(self):
-        """Frames until close(), then those still queued."""
-        while (f := self.get()) is not None:
-            yield f
-
-
-class Subscriber(_FrameQueue):
+class Subscriber:
     """Connects to a publisher and yields matching frames.
 
     Reconnects transparently with exponential backoff after connection
@@ -537,9 +486,9 @@ class Subscriber(_FrameQueue):
     Iterate over the instance, or call ``get(timeout)`` which returns None
     on timeout and after close.  While ``SUBSCRIBER_QUEUE_FRAMES`` frames
     wait in the local queue the reader does not call ``recv``; the queue
-    then holds at most that bound plus one ``recv`` worth of frames, and
-    the overflow is dropped and counted by the publisher.  ``drops`` stays
-    0: no frame is discarded here.
+    then holds at most that bound plus one ``recv`` worth of frames.  No
+    frame is discarded here: the overflow of a consumer that stalls backs
+    up into its publisher's queue, which drops and counts it.
     """
 
     def __init__(self, endpoint: Endpoint, prefix: str = "",
@@ -547,18 +496,39 @@ class Subscriber(_FrameQueue):
                  reconnect_delay: float = 0.05,
                  max_reconnect_delay: float = 2.0,
                  retries_before_error: int = 10):
-        super().__init__()
         self.endpoint = endpoint
         self.prefix = prefix
         self._on_event = on_event
         self._reconnect_delay = reconnect_delay
         self._max_reconnect_delay = max_reconnect_delay
         self._retries_before_error = retries_before_error
+        self._queue: deque[Frame] = deque()
+        self._cond = threading.Condition()
+        self._closed = False
+        self._reader_waiting = False  # set by the reader while it waits for room
         self._sock: socket.socket | None = None
+        self.frames_received = 0
         self.reconnects = 0
         self._thread = threading.Thread(
             target=self._run, name=f"sub-{endpoint}", daemon=True)
         self._thread.start()
+
+    def get(self, timeout: float | None = None) -> Frame | None:
+        """Next frame, or None on timeout / after close."""
+        with self._cond:
+            if not self._queue:
+                self._cond.wait_for(lambda: self._queue or self._closed, timeout)
+                if not self._queue:
+                    return None  # timed out, or closed and empty
+            if self._reader_waiting:
+                self._reader_waiting = False
+                self._cond.notify_all()
+            return self._queue.popleft()
+
+    def __iter__(self):
+        """Frames until close(), then those still queued."""
+        while (f := self.get()) is not None:
+            yield f
 
     def _emit(self, event: str, detail: str = "") -> None:
         if self._on_event is not None:
@@ -572,8 +542,9 @@ class Subscriber(_FrameQueue):
         failures = 0
         first = True
         while not self._closed:
+            sock = None
             try:
-                sock = self.endpoint._create_socket()
+                sock = self.endpoint._create_socket()  # may fail too, say with EMFILE
                 sock.settimeout(2.0)
                 sock.connect(self.endpoint._address())
                 if self.endpoint.scheme == "tcp":
@@ -581,7 +552,8 @@ class Subscriber(_FrameQueue):
                 sock.sendall(frame_encode(Frame(HANDSHAKE_TOPIC, self.prefix.encode("utf-8"))))
                 sock.settimeout(None)  # close() ends a blocked recv by shutting the socket down
             except OSError as exc:
-                sock.close()
+                if sock is not None:
+                    sock.close()
                 failures += 1
                 if failures == self._retries_before_error:
                     self._emit("unreachable", str(exc))
@@ -622,92 +594,26 @@ class Subscriber(_FrameQueue):
                 log.warning("protocol error from %s: %s", self.endpoint, exc)
                 return
             if frames:
-                self._put(frames)
+                with self._cond:
+                    if self._closed:
+                        return
+                    self._queue.extend(frames)
+                    self.frames_received += len(frames)
+                    self._cond.notify_all()
 
     def _wait_for_room(self) -> None:
         """Block while the local queue is full; ``get`` wakes us."""
         with self._cond:
             while len(self._queue) >= SUBSCRIBER_QUEUE_FRAMES and not self._closed:
-                self._producer_waiting = True
+                self._reader_waiting = True
                 self._cond.wait()
 
     def close(self) -> None:
-        self._close_queue()
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
         sock = self._sock
         if sock is not None:
             with suppress(OSError):
                 sock.shutdown(socket.SHUT_RDWR)  # ends a blocked recv
         self._thread.join(timeout=5.0)
-
-
-class _InprocSubscription(_FrameQueue):
-    """Consumer handle on an in-process channel; same surface as Subscriber."""
-
-    def __init__(self, channel: "InprocChannel", prefix: str, queue_size: int):
-        super().__init__(maxlen=queue_size)
-        self._channel = channel
-        self.prefix = prefix
-        self.prefix_bytes = prefix.encode("utf-8")
-
-    def close(self) -> None:
-        self._channel._unsubscribe(self)
-        self._close_queue()
-
-
-class InprocChannel:
-    """Publish/subscribe contract between threads of one process.
-
-    Used when a driver and a consumer share a process; semantics match the
-    socket transport (prefix filtering, lazy publication, bounded
-    per-subscriber queues with drop-oldest).
-    """
-
-    def __init__(self, queue_size: int = 10_000):
-        self._queue_size = queue_size
-        self._lock = threading.Lock()
-        self._subs: list[_InprocSubscription] = []
-        self.frames_delivered = 0
-        self.publish_calls = 0
-        self.bytes_sent = 0  # nothing crosses the network
-
-    @property
-    def drops(self) -> int:
-        with self._lock:
-            return sum(s.drops for s in self._subs)
-
-    @property
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subs)
-
-    def subscribe(self, prefix: str = "") -> _InprocSubscription:
-        sub = _InprocSubscription(self, prefix, self._queue_size)
-        with self._lock:
-            self._subs.append(sub)
-        return sub
-
-    def _unsubscribe(self, sub: _InprocSubscription) -> None:
-        with self._lock:
-            if sub in self._subs:
-                self._subs.remove(sub)
-
-    def publish(self, f: Frame) -> None:
-        topic = f.topic.encode("utf-8")
-        with self._lock:
-            self.publish_calls += 1
-            targets = [s for s in self._subs if topic.startswith(s.prefix_bytes)]
-            self.frames_delivered += len(targets)
-        for sub in targets:
-            sub._put((f,))
-
-    def batch(self):
-        return nullcontext()  # delivery is synchronous: nothing to defer
-
-    def drain(self, timeout: float = 0.0) -> bool:
-        return True  # delivery is synchronous
-
-    def close(self, drain_timeout: float = 0.0) -> None:
-        with self._lock:
-            subs = list(self._subs)
-        for sub in subs:
-            sub.close()

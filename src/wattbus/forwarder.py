@@ -43,9 +43,9 @@ class ForwarderConfig:
 class Forwarder:
     """Running relay: one reader per upstream feeding a shared publisher."""
 
-    def __init__(self, cfg: ForwarderConfig, queue_size: int = 10_000):
+    def __init__(self, cfg: ForwarderConfig):
         self.cfg = cfg
-        self.publisher = Publisher(cfg.downstream_bind, queue_size=queue_size)
+        self.publisher = Publisher(cfg.downstream_bind)
         self._subscribers: list[Subscriber] = []
         self._pumps: list[threading.Thread] = []
         self._closed = False

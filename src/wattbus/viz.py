@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -204,14 +205,17 @@ class VizState:
         """Return the path of an up-to-date chart for the range.
 
         The cached file is reused untouched unless the serving archive has
-        accepted samples since the file was generated.
+        accepted samples since the file was generated.  Its name carries
+        each bound as requested, ``latest`` for one not given, so a
+        dashboard that refreshes the default window keeps rewriting one
+        file rather than leaving one behind per refresh.
         """
+        bounds = "_".join("latest" if t is None else f"{t:.3f}" for t in (t_from, t_to))
         with self._lock:
             arch = self._archives_for(topic)
             archive, t_from, t_to = _resolve_range(arch, step_s, t_from, t_to)
             probe = arch.probe
-            name = (f"{probe.site}__{probe.name}__{archive.step_s:g}s"
-                    f"__{t_from:.3f}_{t_to:.3f}.svg")
+            name = f"{probe.site}__{probe.name}__{archive.step_s:g}s__{bounds}.svg"
             path = os.path.join(self._cache_dir, name)
             meta_path = path + ".meta"
             if os.path.exists(path) and os.path.exists(meta_path):
@@ -340,9 +344,12 @@ class _VizHandler(ConsumerHandler):
             if key not in query:
                 return None
             try:
-                return float(query[key][0])
+                value = float(query[key][0])
             except ValueError:
-                raise StatsError(f"query parameter {key} must be a number")
+                value = math.nan
+            if not math.isfinite(value):  # nan and inf would break the bucket arithmetic
+                raise StatsError(f"query parameter {key} must be a finite number")
+            return value
 
         try:
             t_from, t_to, step = qfloat("from"), qfloat("to"), qfloat("step")

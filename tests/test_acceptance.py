@@ -17,7 +17,7 @@ import pytest
 
 from wattbus.api import ApiServer, StaticTokenValidator
 from wattbus.bench import run_scenario, run_sweep, scenario_from_name
-from wattbus.bus import Frame, InprocChannel, Publisher, Subscriber
+from wattbus.bus import Frame, Publisher, Subscriber
 from wattbus.devices import PROFILES, DriverSpec
 from wattbus.energy import MeterState
 from wattbus.forwarder import Forwarder, ForwarderConfig
@@ -242,8 +242,8 @@ class TestC07Supervision:
                        interval_s=0.2, seed=i)
             for i in range(5)
         ]
-        chan = InprocChannel()
-        manager = DriverManager(specs, chan, watchdog_period_s=watchdog_period)
+        pub = Publisher(loopback())
+        manager = DriverManager(specs, pub, watchdog_period_s=watchdog_period)
         manager.start()
         try:
             topic = "sup/d2"
@@ -262,6 +262,7 @@ class TestC07Supervision:
             assert wait_until(lambda: manager.status_for(topic).published > before)
         finally:
             manager.stop()
+            pub.close()
         report("C07 supervision",
                f"killed worker alive again with restart_count+1 in "
                f"{recovery:.2f}s (limit {2 * watchdog_period:.1f}s)")

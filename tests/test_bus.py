@@ -1,5 +1,6 @@
 """Wire format, prefix filtering, and transport behavior of the bus."""
 
+import errno
 import json
 import os
 import socket
@@ -18,13 +19,11 @@ from wattbus.bus import (
     Endpoint,
     Frame,
     FrameError,
-    InprocChannel,
     Publisher,
     Subscriber,
     _FrameBuffer,
     frame_decode,
     frame_encode,
-    match_prefix,
 )
 
 
@@ -120,20 +119,6 @@ class TestFrameBuffer:
             buf.feed(oversize[2:])  # the header completed by the next chunk
 
 
-class TestMatchPrefix:
-    def test_empty_prefix_matches_everything(self):
-        assert match_prefix("", "siteA/p1")
-
-    def test_prefix_match(self):
-        assert match_prefix("siteA/", "siteA/p1")
-
-    def test_non_prefix(self):
-        assert not match_prefix("siteB/", "siteA/p1")
-
-    def test_full_topic_is_its_own_prefix(self):
-        assert match_prefix("siteA/p1", "siteA/p1")
-
-
 class TestEndpoint:
     def test_parse_tcp(self):
         e = Endpoint.parse("tcp://10.1.2.3:5577")
@@ -158,15 +143,16 @@ class TestTcpPubSub:
     def test_prefix_routing(self):
         pub = Publisher(loopback())
         try:
-            sub_all = Subscriber(pub.endpoint, "")
+            sub_all = Subscriber(pub.endpoint, "")  # the empty prefix matches every topic
+            sub_full = Subscriber(pub.endpoint, "s/p")  # a whole topic is its own prefix
             sub_x = Subscriber(pub.endpoint, "x/")
-            assert wait_until(lambda: pub.subscriber_count == 2)
+            assert wait_until(lambda: pub.subscriber_count == 3)
             pub.publish(Frame("s/p", b"payload"))
-            got = sub_all.get(timeout=5.0)
-            assert got == Frame("s/p", b"payload")
+            assert sub_all.get(timeout=5.0) == Frame("s/p", b"payload")
+            assert sub_full.get(timeout=5.0) == Frame("s/p", b"payload")
             assert sub_x.get(timeout=0.3) is None
-            sub_all.close()
-            sub_x.close()
+            for sub in (sub_all, sub_full, sub_x):
+                sub.close()
         finally:
             pub.close()
 
@@ -304,6 +290,52 @@ class TestTcpPubSub:
         sub.close()
         pub.close()
 
+    def test_failed_first_socket_is_retried(self, monkeypatch):
+        # making the very first socket can fail, say with EMFILE: that is
+        # one failed attempt, and the backoff retries it
+        pub = Publisher(loopback())
+        create = Endpoint._create_socket
+        calls = []
+
+        def fail_once(endpoint):
+            calls.append(endpoint)
+            if len(calls) == 1:
+                raise OSError(errno.EMFILE, "Too many open files")
+            return create(endpoint)
+
+        monkeypatch.setattr(Endpoint, "_create_socket", fail_once)
+        sub = Subscriber(pub.endpoint, "", reconnect_delay=0.02)
+        try:
+            assert wait_until(lambda: pub.subscriber_count == 1)
+            pub.publish(Frame("s/p", b"after EMFILE"))
+            assert sub.get(timeout=5.0) == Frame("s/p", b"after EMFILE")
+            assert len(calls) == 2
+        finally:
+            sub.close()
+            pub.close()
+
+    def test_iteration_stops_on_close(self):
+        pub = Publisher(loopback())
+        try:
+            sub = Subscriber(pub.endpoint, "")
+            assert wait_until(lambda: pub.subscriber_count == 1)
+            pub.publish(Frame("s/p", b"one"))
+            collected = []
+
+            def consume():
+                for f in sub:
+                    collected.append(f)
+
+            t = threading.Thread(target=consume)
+            t.start()
+            assert wait_until(lambda: len(collected) == 1)
+            sub.close()
+            t.join(timeout=5.0)
+            assert not t.is_alive()
+            assert collected == [Frame("s/p", b"one")]
+        finally:
+            pub.close()
+
     def test_slow_subscriber_drops_do_not_affect_others(self):
         # a drop-prone connection: small queue, big frames, a client that
         # handshakes and then never reads its socket; paced publishing so
@@ -356,7 +388,6 @@ class TestTcpPubSub:
                 seqs.append(int(f.payload[:8]))
             assert seqs == sorted(set(seqs))  # in publish order, no repeats
             assert len(seqs) + pub.drops == total
-            assert sub.drops == 0
         finally:
             sub.close()
             pub.close(drain_timeout=0.5)
@@ -599,58 +630,3 @@ class TestIpcTransport:
         finally:
             pub.close()
         assert not (tmp_path / "bus.sock").exists()  # socket removed on close
-
-
-class TestInprocChannel:
-    def test_basic_pub_sub(self):
-        chan = InprocChannel()
-        sub = chan.subscribe("a/")
-        chan.publish(Frame("a/p", b"1"))
-        chan.publish(Frame("b/p", b"2"))
-        assert sub.get(timeout=1.0) == Frame("a/p", b"1")
-        assert sub.get(timeout=0.05) is None
-
-    def test_non_ascii_prefix_matches_bytewise(self):
-        chan = InprocChannel()
-        sub = chan.subscribe("\u00e9")
-        chan.publish(Frame("e/x", b"no"))
-        chan.publish(Frame("\u00e9/x", b"yes"))
-        assert sub.get(timeout=1.0) == Frame("\u00e9/x", b"yes")
-        assert sub.get(timeout=0.05) is None
-        assert (chan.publish_calls, chan.frames_delivered) == (2, 1)
-
-    def test_lazy_publication(self):
-        chan = InprocChannel()
-        for _ in range(100):
-            chan.publish(Frame("a/p", b"x"))
-        assert chan.frames_delivered == 0
-        assert chan.bytes_sent == 0
-
-    def test_bounded_queue_drops_oldest(self):
-        chan = InprocChannel(queue_size=10)
-        slow = chan.subscribe("")
-        fast = chan.subscribe("")
-        for i in range(30):
-            chan.publish(Frame("s/p", b"%d" % i))
-            assert fast.get(timeout=1.0) is not None  # fast consumer keeps up
-        assert slow.drops == 20
-        remaining = [int(slow.get(timeout=0.1).payload) for _ in range(10)]
-        assert remaining == list(range(20, 30))  # oldest were dropped
-
-    def test_iteration_stops_on_close(self):
-        chan = InprocChannel()
-        sub = chan.subscribe("")
-        chan.publish(Frame("s/p", b"one"))
-        collected = []
-
-        def consume():
-            for f in sub:
-                collected.append(f)
-
-        t = threading.Thread(target=consume)
-        t.start()
-        wait_until(lambda: len(collected) == 1)
-        sub.close()
-        t.join(timeout=5.0)
-        assert not t.is_alive()
-        assert collected == [Frame("s/p", b"one")]

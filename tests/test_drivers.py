@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from wattbus.bus import InprocChannel
+from wattbus.bus import Publisher, Subscriber
 from wattbus.devices import (
     PROFILES,
     DeviceTimeout,
@@ -35,7 +35,7 @@ from wattbus.model import Measurement, ProbeId, decode_measurement, encode_measu
 from wattbus import signing
 from wattbus.signing import sign, verify
 
-from test_bus import wait_until
+from test_bus import loopback, wait_until
 
 
 def nearest_multiple_oracle(x: float, p: float) -> float:
@@ -374,11 +374,26 @@ def recording_factory(reads, waits):
     return lambda spec, start: Recorded(make_device(spec, start), spec.topic)
 
 
+@pytest.fixture()
+def pub():
+    """A loopback publisher for the manager under test."""
+    publisher = Publisher(loopback())
+    yield publisher
+    publisher.close(drain_timeout=0)
+
+
+@pytest.fixture()
+def sub(pub):
+    """A subscriber to every topic of ``pub``, connected before the test runs."""
+    subscriber = Subscriber(pub.endpoint, "")
+    assert wait_until(lambda: pub.subscriber_count == 1)
+    yield subscriber
+    subscriber.close()
+
+
 class TestDriverManager:
-    def test_fixed_ticks_and_topic_payload_agreement(self):
-        chan = InprocChannel()
-        sub = chan.subscribe("")
-        manager = DriverManager(ipmi_specs(3), chan, max_ticks=5,
+    def test_fixed_ticks_and_topic_payload_agreement(self, pub, sub):
+        manager = DriverManager(ipmi_specs(3), pub, max_ticks=5,
                                 watchdog_period_s=60.0, stagger=False)
         manager.start()
         assert manager.wait_finished(timeout=10.0)
@@ -391,9 +406,9 @@ class TestDriverManager:
             m = decode_measurement(f.payload)
             assert m.probe.topic == f.topic
 
-    def test_status_file_row_is_the_driver_status(self, tmp_path):
+    def test_status_file_row_is_the_driver_status(self, tmp_path, pub):
         path = tmp_path / "status.jsonl"
-        manager = DriverManager(ipmi_specs(2), InprocChannel(), max_ticks=2,
+        manager = DriverManager(ipmi_specs(2), pub, max_ticks=2,
                                 watchdog_period_s=60.0, status_path=str(path))
         manager.start()
         assert manager.wait_finished(timeout=10.0)
@@ -403,7 +418,7 @@ class TestDriverManager:
         assert [row["finished"] for row in rows] == [True, True]
 
     def test_each_wake_publishes_inside_one_batch(self):
-        class Recording(InprocChannel):
+        class Recording(Publisher):
             depth = batches = outside = 0
 
             @contextlib.contextmanager
@@ -411,7 +426,8 @@ class TestDriverManager:
                 self.depth += 1
                 self.batches += 1
                 try:
-                    yield
+                    with super().batch():
+                        yield
                 finally:
                     self.depth -= 1
 
@@ -419,23 +435,26 @@ class TestDriverManager:
                 self.outside += not self.depth
                 super().publish(f)
 
-        chan = Recording()
-        sub = chan.subscribe("")
-        manager = DriverManager(ipmi_specs(100), chan, max_ticks=3,
-                                watchdog_period_s=60.0, stagger=False)
-        manager.start()
-        assert manager.wait_finished(timeout=10.0)
-        manager.stop()
-        assert chan.publish_calls == 300
-        assert chan.outside == 0
-        assert chan.batches < 100  # one per wake, not one per tick
-        assert sum(1 for _ in iter(lambda: sub.get(timeout=0.2), None)) == 300
+        pub = Recording(loopback())
+        sub = Subscriber(pub.endpoint, "")
+        try:
+            assert wait_until(lambda: pub.subscriber_count == 1)
+            manager = DriverManager(ipmi_specs(100), pub, max_ticks=3,
+                                    watchdog_period_s=60.0, stagger=False)
+            manager.start()
+            assert manager.wait_finished(timeout=10.0)
+            manager.stop()
+            assert pub.publish_calls == 300
+            assert pub.outside == 0
+            assert pub.batches < 100  # one per wake, not one per tick
+            assert sum(1 for _ in iter(lambda: sub.get(timeout=0.2), None)) == 300
+        finally:
+            sub.close()
+            pub.close(drain_timeout=0)
 
-    def test_signing_integration(self):
+    def test_signing_integration(self, pub, sub):
         secret = b"unit-test-secret-16"
-        chan = InprocChannel()
-        sub = chan.subscribe("")
-        manager = DriverManager(ipmi_specs(2), chan, secret=secret,
+        manager = DriverManager(ipmi_specs(2), pub, secret=secret,
                                 max_ticks=3, watchdog_period_s=60.0)
         manager.start()
         assert manager.wait_finished(timeout=10.0)
@@ -446,7 +465,8 @@ class TestDriverManager:
             count += 1
         assert count == 6
 
-    def test_signed_tick_uses_neither_json_dumps_nor_dataclass_replace(self, monkeypatch):
+    def test_signed_tick_uses_neither_json_dumps_nor_dataclass_replace(
+            self, monkeypatch, pub, sub):
         # the per-message path builds its bytes and signed copy by hand;
         # patch every binding of the two, from-imports in wattbus included
         def forbidden(*args, **kwargs):
@@ -476,9 +496,7 @@ class TestDriverManager:
         monkeypatch.setattr(Measurement, "__post_init__", counting_check)
         signing._keyed_hmac.cache_clear()
         secret = bytearray(b"unit-test-secret-16")
-        chan = InprocChannel()
-        sub = chan.subscribe("")
-        manager = DriverManager(ipmi_specs(5) + [pdu_spec()], chan, secret=secret,
+        manager = DriverManager(ipmi_specs(5) + [pdu_spec()], pub, secret=secret,
                                 max_ticks=1, watchdog_period_s=60.0)
         manager.start()
         assert manager.wait_finished(timeout=10.0)
@@ -488,11 +506,9 @@ class TestDriverManager:
         assert len(frames) == 15
         assert all(verify(decode_measurement(f.payload), secret) for f in frames)
 
-    def test_mean_spacing_within_five_percent(self):
-        chan = InprocChannel()
-        sub = chan.subscribe("")
+    def test_mean_spacing_within_five_percent(self, pub, sub):
         interval = 0.1
-        manager = DriverManager(ipmi_specs(1, interval=interval), chan,
+        manager = DriverManager(ipmi_specs(1, interval=interval), pub,
                                 max_ticks=30, watchdog_period_s=60.0,
                                 stagger=False)
         manager.start()
@@ -505,10 +521,9 @@ class TestDriverManager:
         mean = sum(deltas) / len(deltas)
         assert abs(mean - interval) / interval < 0.05
 
-    def test_watchdog_restarts_killed_worker(self):
-        chan = InprocChannel()
+    def test_watchdog_restarts_killed_worker(self, pub):
         period = 0.25
-        manager = DriverManager(ipmi_specs(3), chan,
+        manager = DriverManager(ipmi_specs(3), pub,
                                 watchdog_period_s=period)
         manager.start()
         try:
@@ -528,14 +543,13 @@ class TestDriverManager:
         finally:
             manager.stop()
 
-    def test_loss_accounting(self):
-        chan = InprocChannel()
+    def test_loss_accounting(self, pub):
         specs = [pdu_spec(outlets=4, interval=0.05)]
 
         def flaky_factory(spec, start):
             return FlakyDevice(PullDevice(spec), fail_every=3)
 
-        manager = DriverManager(specs, chan, max_ticks=12,
+        manager = DriverManager(specs, pub, max_ticks=12,
                                 watchdog_period_s=60.0,
                                 device_factory=flaky_factory)
         manager.start()
@@ -546,9 +560,8 @@ class TestDriverManager:
         assert status.lost == 4 * 4  # every third tick lost, 4 outlets
         assert status.published + status.lost == status.ticks * 4
 
-    def test_unknown_outlet_readings_are_counted_lost(self):
-        chan = InprocChannel()
-        manager = DriverManager([pdu_spec(interval=0.05)], chan, max_ticks=3,
+    def test_unknown_outlet_readings_are_counted_lost(self, pub):
+        manager = DriverManager([pdu_spec(interval=0.05)], pub, max_ticks=3,
                                 watchdog_period_s=60.0,
                                 device_factory=lambda spec, start: Renumbered(
                                     PullDevice(spec), -1))
@@ -557,15 +570,13 @@ class TestDriverManager:
         manager.stop()
         status = manager.status_for("site/pdu3")
         assert (status.ticks, status.lost, status.published) == (3, 30, 0)
-        assert chan.publish_calls == 0
+        assert pub.publish_calls == 0
 
-    def test_quarantine_after_repeated_failures(self):
-        chan = InprocChannel()
-
+    def test_quarantine_after_repeated_failures(self, pub):
         def broken_factory(spec, start):
             raise RuntimeError("device never comes up")
 
-        manager = DriverManager(ipmi_specs(1), chan,
+        manager = DriverManager(ipmi_specs(1), pub,
                                 watchdog_period_s=0.1, restart_limit=2,
                                 device_factory=broken_factory)
         manager.start()
@@ -579,10 +590,9 @@ class TestDriverManager:
         finally:
             manager.stop()
 
-    def test_thousand_drivers_share_one_thread(self):
-        chan = InprocChannel()
+    def test_thousand_drivers_share_one_thread(self, pub):
         specs = ipmi_specs(1000, interval=0.5)
-        manager = DriverManager(specs, chan, max_ticks=3,
+        manager = DriverManager(specs, pub, max_ticks=3,
                                 watchdog_period_s=60.0)
         before = threading.active_count()
         peak = before
@@ -597,7 +607,7 @@ class TestDriverManager:
         assert peak - before <= 1
         assert [s.published for s in manager.statuses()] == [3] * 1000
 
-    def test_scheduler_coalesces_wakes(self):
+    def test_scheduler_coalesces_wakes(self, pub):
         interval = 1.0
         reads = []  # (k, monotonic time the device was made, time of read k)
 
@@ -614,7 +624,7 @@ class TestDriverManager:
             return Timed(make_device(spec, start))
 
         manager = DriverManager(ipmi_specs(1000, interval=interval),
-                                InprocChannel(), max_ticks=3,
+                                pub, max_ticks=3,
                                 watchdog_period_s=60.0,
                                 device_factory=timed_factory)
         stop_lock = manager._stop_lock
@@ -643,10 +653,10 @@ class TestDriverManager:
         assert len(reads) == ticks
         assert all(t >= made + k * interval for k, made, t in reads)
 
-    def test_scheduler_wakes_once_per_phase(self):
+    def test_scheduler_wakes_once_per_phase(self, pub):
         n, interval = 1000, 0.5
         reads, waits = [], [0]
-        manager = DriverManager(ipmi_specs(n, interval=interval), InprocChannel(),
+        manager = DriverManager(ipmi_specs(n, interval=interval), pub,
                                 max_ticks=3, watchdog_period_s=60.0,
                                 device_factory=recording_factory(reads, waits))
         count_waits(manager, waits)
@@ -665,10 +675,10 @@ class TestDriverManager:
         assert all(len(w) == 1 for w in wakes.values())
         assert all(r.t >= r.made + r.k * interval for r in reads)
 
-    def test_restarted_slot_ticks_in_its_phase_wake(self):
+    def test_restarted_slot_ticks_in_its_phase_wake(self, pub):
         n, interval, period = 40, 0.2, 0.25
         reads, waits = [], [0]
-        manager = DriverManager(ipmi_specs(n, interval=interval), InprocChannel(),
+        manager = DriverManager(ipmi_specs(n, interval=interval), pub,
                                 watchdog_period_s=period,
                                 device_factory=recording_factory(reads, waits))
         count_waits(manager, waits)
@@ -694,7 +704,7 @@ class TestDriverManager:
         assert all(r.t >= r.made + r.k * interval for r in reads)
 
     @pytest.mark.parametrize("good_makes", [0, 1])  # fails in start(), or on restart
-    def test_device_factory_that_raises_kills_only_its_slot(self, good_makes):
+    def test_device_factory_that_raises_kills_only_its_slot(self, good_makes, pub):
         made = collections.Counter()
         topic = "t/d1"
 
@@ -704,8 +714,7 @@ class TestDriverManager:
                 raise RuntimeError("device never comes up")
             return make_device(spec, start)
 
-        chan = InprocChannel()
-        manager = DriverManager(ipmi_specs(3), chan, watchdog_period_s=0.1,
+        manager = DriverManager(ipmi_specs(3), pub, watchdog_period_s=0.1,
                                 restart_limit=2, device_factory=factory)
         manager.start()
         try:
@@ -719,30 +728,27 @@ class TestDriverManager:
             assert status.restart_count == 2
             assert not status.alive
             assert made[topic] == 3  # the first make, then one per restart
-            others = chan.publish_calls - status.published
-            assert wait_until(lambda: chan.publish_calls - status.published > others + 10)
+            others = pub.publish_calls - status.published
+            assert wait_until(lambda: pub.publish_calls - status.published > others + 10)
             assert manager.status_for(topic).published == status.published
         finally:
             manager.stop()
         assert all(manager.status_for(t).restart_count == 0 for t in ("t/d0", "t/d2"))
 
-    def test_empty_fleet_starts_and_stops(self):
-        chan = InprocChannel()
-        manager = DriverManager([], chan, watchdog_period_s=0.05)
+    def test_empty_fleet_starts_and_stops(self, pub):
+        manager = DriverManager([], pub, watchdog_period_s=0.05)
         manager.start()
         time.sleep(0.2)  # a few watchdog sweeps over no slots
         assert manager.wait_finished(timeout=0)
         manager.stop()
         assert not manager._scheduler.is_alive()
-        assert manager.statuses() == [] and chan.publish_calls == 0
+        assert manager.statuses() == [] and pub.publish_calls == 0
 
-    def test_mixed_intervals_publish_every_tick_none_early(self):
+    def test_mixed_intervals_publish_every_tick_none_early(self, pub, sub):
         reads, waits = [], [0]
         specs = ipmi_specs(10, interval=1.0, name="slow") + ipmi_specs(30, interval=0.3)
         intervals = {s.topic: s.interval_s for s in specs}
-        chan = InprocChannel()
-        sub = chan.subscribe("")
-        manager = DriverManager(specs, chan, max_ticks=3, watchdog_period_s=60.0,
+        manager = DriverManager(specs, pub, max_ticks=3, watchdog_period_s=60.0,
                                 device_factory=recording_factory(reads, waits))
         manager.start()
         try:
@@ -754,39 +760,36 @@ class TestDriverManager:
         assert len(reads) == 3 * len(specs)
         assert all(r.t >= r.made + r.k * intervals[r.topic] for r in reads)
 
-    def test_stop_twice(self):
-        manager = DriverManager(ipmi_specs(2), InprocChannel(), watchdog_period_s=60.0)
+    def test_stop_twice(self, pub):
+        manager = DriverManager(ipmi_specs(2), pub, watchdog_period_s=60.0)
         manager.start()
         manager.stop()
         manager.stop()
         assert not manager._scheduler.is_alive()
         assert not any(s.alive for s in manager.statuses())
 
-    def test_stop_before_start(self):
-        chan = InprocChannel()
-        manager = DriverManager(ipmi_specs(2), chan, watchdog_period_s=60.0)
+    def test_stop_before_start(self, pub):
+        manager = DriverManager(ipmi_specs(2), pub, watchdog_period_s=60.0)
         manager.stop()
         manager.stop()
         manager.start()  # a stopped manager's scheduler exits before any tick
         manager._scheduler.join(timeout=2.0)
         assert not manager._scheduler.is_alive()
-        assert chan.publish_calls == 0
+        assert pub.publish_calls == 0
 
-    def test_stop_returns_while_the_next_tick_is_far_away(self):
-        chan = InprocChannel()
-        manager = DriverManager(ipmi_specs(1, interval=60.0), chan,
+    def test_stop_returns_while_the_next_tick_is_far_away(self, pub):
+        manager = DriverManager(ipmi_specs(1, interval=60.0), pub,
                                 watchdog_period_s=60.0)
         manager.start()
-        assert wait_until(lambda: chan.publish_calls == 1)
+        assert wait_until(lambda: pub.publish_calls == 1)
         start = time.monotonic()
         manager.stop()
         assert time.monotonic() - start < 0.2
         assert not manager._scheduler.is_alive()
 
-    def test_status_file(self, tmp_path):
+    def test_status_file(self, tmp_path, pub):
         path = tmp_path / "status.jsonl"
-        chan = InprocChannel()
-        manager = DriverManager(ipmi_specs(2), chan, max_ticks=2,
+        manager = DriverManager(ipmi_specs(2), pub, max_ticks=2,
                                 watchdog_period_s=0.1, status_path=str(path))
         manager.start()
         assert manager.wait_finished(timeout=10.0)

@@ -1,9 +1,11 @@
 """Chart statistics, cost, the render cache, and the viz HTTP surface."""
 
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
+from dataclasses import asdict
 
 import pytest
 
@@ -113,6 +115,16 @@ class TestVizState:
         path3 = state.render_chart("a/p", 100.0, 160.0)
         assert state.render_count == 2
         assert open(path3, "rb").read() != content1
+
+    def test_moving_window_refreshes_keep_one_cached_chart(self, state, tmp_path):
+        # a dashboard polling the default window once a second, for ten minutes
+        for i in range(600):
+            state.ingest(m("a/p", 100.0 + i, 200.0 + i % 7))
+            path = state.render_chart("a/p")
+        assert state.render_count == 600  # each refresh saw a new sample
+        assert sorted(os.listdir(tmp_path / "charts")) == sorted(
+            [os.path.basename(path), os.path.basename(path) + ".meta"])
+        assert json.load(open(path + ".meta"))["stats"] == asdict(state.stats("a/p"))
 
     def test_chart_legend_matches_compute_stats(self, state):
         for i in range(8):
@@ -248,3 +260,8 @@ class TestVizHttp:
         assert status == 400
         status, _, _ = http_get(f"{server.url}/stats/a/p?from=x")
         assert status == 400
+        for query in ("/stats/a/p?from=nan", "/stats/a/p?to=inf", "/stats/a/p?from=-inf",
+                      "/charts/a/p.svg?from=nan"):
+            status, _, body = http_get(f"{server.url}{query}")
+            assert status == 400, query
+            assert "finite" in json.loads(body)["error"]
