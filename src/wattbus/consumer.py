@@ -6,7 +6,9 @@ HTTP server, the optional bus ``Subscriber``, and the HTTP, ingest and
 periodic threads.  Undecodable payloads are counted on the state
 (``count_malformed``) and skipped; every other payload goes to
 ``state.ingest``.  An exception from ``state.ingest`` is logged and counted
-in ``ingest_errors``, and ingest goes on with the next frame.
+in ``ingest_errors``, and ingest goes on with the next frame; one from the
+periodic task is logged and counted in ``periodic_errors``, and the task
+runs again next period.
 
 Only consumer daemons import this module: it pulls in ``http.server``,
 which the driver process has no use for.
@@ -65,6 +67,7 @@ class ConsumerServer:
         self._subscriber: Subscriber | None = None
         self._stop = threading.Event()
         self.ingest_errors = 0  # state.ingest calls that raised
+        self.periodic_errors = 0  # periodic calls that raised
 
     @property
     def address(self) -> tuple[str, int]:
@@ -113,7 +116,11 @@ class ConsumerServer:
 
     def _periodic_loop(self) -> None:
         while not self._stop.wait(self._period_s):
-            self.periodic()
+            try:
+                self.periodic()
+            except Exception:  # a full disk must not end flushing or eviction for good
+                self.periodic_errors += 1
+                log.exception("%s periodic task failed", self.name)
 
     def close(self) -> None:
         self._stop.set()

@@ -7,6 +7,11 @@ retained as explicitly absent (never coerced to zero), and samples older
 than the newest bucket are dropped and counted rather than rewriting
 history.
 
+Memory and file share one layout: an archive's slots live in one
+``bytearray`` that is byte for byte the slot area of its file, so saving
+writes the packed header and that buffer, and loading adopts the file's
+slot bytes as they are.
+
 On-disk layout (little-endian, one file per probe per archive)::
 
     offset  size  field
@@ -25,6 +30,7 @@ min/max it is the consolidated value itself.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
 import os
@@ -36,6 +42,8 @@ CONSOLIDATIONS = (AVERAGE, MIN, MAX)  # a name's index is its on-disk code
 
 _HEADER = struct.Struct("<8sdIBqQQ")
 _SLOT = struct.Struct("<qdQ")
+_EMPTY_SLOT = _SLOT.pack(-1, 0.0, 0)
+_pack_slot, _unpack_slot = _SLOT.pack_into, _SLOT.unpack_from
 
 
 class ArchiveFormatError(ValueError):
@@ -65,9 +73,7 @@ class RoundRobinArchive:
         self.step_s = float(step_s)
         self.capacity = int(capacity)
         self.consolidation = consolidation
-        self._bucket = [-1] * capacity  # bucket number held by each slot
-        self._acc = [0.0] * capacity
-        self._count = [0] * capacity
+        self._slots = bytearray(_EMPTY_SLOT) * self.capacity  # the file's slot area
         self._newest = -1  # newest bucket number, -1 = empty archive
         self.late_drops = 0
         self.generation = 0  # bumps on every accepted sample (cache staleness)
@@ -77,47 +83,36 @@ class RoundRobinArchive:
     def update(self, t: float, w: float) -> bool:
         """Consolidate one sample; False if it was late and dropped."""
         b = bucket_index(t, self.step_s)
-        if self._newest == -1:
-            self._clear(b)
-        elif b < self._newest:
+        newest = self._newest
+        offset = (b % self.capacity) * _SLOT.size
+        if b > newest:
+            if newest != -1 and b > newest + 1:
+                # materialize every skipped bucket as absent, bounded by capacity
+                for n in range(max(newest + 1, b - self.capacity + 1), b):
+                    _pack_slot(self._slots, (n % self.capacity) * _SLOT.size, n, 0.0, 0)
+            _pack_slot(self._slots, offset, b, w, 1)
+            self._newest = b
+        elif b == newest:
+            bucket, acc, count = _unpack_slot(self._slots, offset)
+            if self.consolidation == AVERAGE:
+                acc += w
+            elif self.consolidation == MIN:
+                acc = min(acc, w)
+            else:
+                acc = max(acc, w)
+            _pack_slot(self._slots, offset, bucket, acc, count + 1)
+        else:
             self.late_drops += 1
             return False
-        elif b > self._newest:
-            # materialize every skipped bucket as absent, bounded by capacity
-            for n in range(max(self._newest + 1, b - self.capacity + 1), b + 1):
-                self._clear(n)
-        self._newest = max(self._newest, b)
-        self._accumulate(b, w)
         self.generation += 1
         return True
 
-    def _clear(self, n: int) -> None:
-        i = n % self.capacity
-        self._bucket[i] = n
-        self._acc[i] = 0.0
-        self._count[i] = 0
-
-    def _accumulate(self, n: int, w: float) -> None:
-        i = n % self.capacity
-        if self._count[i] == 0:
-            self._acc[i] = w
-        elif self.consolidation == AVERAGE:
-            self._acc[i] += w
-        elif self.consolidation == MIN:
-            self._acc[i] = min(self._acc[i], w)
-        else:
-            self._acc[i] = max(self._acc[i], w)
-        self._count[i] += 1
-
     # -- read side --------------------------------------------------------
 
-    def _slot_value(self, n: int) -> float | None:
-        i = n % self.capacity
-        if self._bucket[i] != n or self._count[i] == 0:
+    def _slot_value(self, acc: float, count: int) -> float | None:
+        if count == 0:
             return None
-        if self.consolidation == AVERAGE:
-            return self._acc[i] / self._count[i]
-        return self._acc[i]
+        return acc / count if self.consolidation == AVERAGE else acc
 
     def fetch(self, t_from: float, t_to: float) -> list[tuple[float, float | None]]:
         """Retained buckets intersecting [t_from, t_to), oldest first.
@@ -129,58 +124,63 @@ class RoundRobinArchive:
             raise ValueError("t_from must not exceed t_to")
         if self._newest == -1:
             return []
+        oldest = self._newest - self.capacity + 1
+        # clamp to the retained window first: the bucket arithmetic below
+        # then only meets times the ring holds, however huge the range
+        t_from = max(t_from, oldest * self.step_s)
+        t_to = min(t_to, (self._newest + 1) * self.step_s)
+        if t_from > t_to:
+            return []
         lo = bucket_index(t_from, self.step_s)
         hi = math.ceil(t_to / self.step_s) - 1
         while hi >= lo and hi * self.step_s >= t_to:  # float-division guard
             hi -= 1
         # bucket numbers are never negative (timestamps are > 0), and the
         # empty-slot sentinel is -1, so clamp to zero as well
-        lo = max(lo, self._newest - self.capacity + 1, 0)
+        lo = max(lo, oldest, 0)
         hi = min(hi, self._newest)
         out: list[tuple[float, float | None]] = []
         for n in range(lo, hi + 1):
-            if self._bucket[n % self.capacity] == n:  # skip pre-history slots
-                out.append((n * self.step_s, self._slot_value(n)))
+            bucket, acc, count = _unpack_slot(self._slots, (n % self.capacity) * _SLOT.size)
+            if bucket == n:  # skip pre-history slots
+                out.append((n * self.step_s, self._slot_value(acc, count)))
         return out
 
     def fetch_all(self) -> list[tuple[float, float | None]]:
         """Every retained bucket."""
-        if self._newest == -1:
-            return []
-        start = (self._newest - self.capacity + 1) * self.step_s
-        end = (self._newest + 1) * self.step_s
-        return self.fetch(max(start, 0.0), end)
+        return self.fetch(0.0, math.inf)
 
     @property
     def newest_bucket_start(self) -> float | None:
         return None if self._newest == -1 else self._newest * self.step_s
 
     def __len__(self) -> int:
-        return sum(1 for i in range(self.capacity) if self._bucket[i] != -1)
+        return sum(1 for bucket, _, _ in _SLOT.iter_unpack(self._slots) if bucket != -1)
 
     def copy(self) -> "RoundRobinArchive":
         """An independent copy, to save while this archive keeps updating."""
         twin = copy.copy(self)
-        twin._bucket = self._bucket.copy()
-        twin._acc = self._acc.copy()
-        twin._count = self._count.copy()
+        twin._slots = self._slots.copy()
         return twin
 
     # -- persistence ------------------------------------------------------
 
     def dump_bytes(self) -> bytes:
-        parts = [_HEADER.pack(
+        return _HEADER.pack(
             MAGIC, self.step_s, self.capacity, CONSOLIDATIONS.index(self.consolidation),
-            self._newest, self.late_drops, self.generation)]
-        for i in range(self.capacity):
-            parts.append(_SLOT.pack(self._bucket[i], self._acc[i], self._count[i]))
-        return b"".join(parts)
+            self._newest, self.late_drops, self.generation) + self._slots
 
     def save(self, path: str) -> None:
+        """Write the file whole or not at all: a failed write leaves no ``.tmp``."""
         tmp = f"{path}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(self.dump_bytes())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(self.dump_bytes())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RoundRobinArchive":
@@ -200,13 +200,7 @@ class RoundRobinArchive:
         archive._newest = newest
         archive.late_drops = late
         archive.generation = generation
-        offset = _HEADER.size
-        for i in range(capacity):
-            b, acc, count = _SLOT.unpack_from(data, offset)
-            archive._bucket[i] = b
-            archive._acc[i] = acc
-            archive._count[i] = count
-            offset += _SLOT.size
+        archive._slots[:] = memoryview(data)[_HEADER.size:]
         return archive
 
     @classmethod

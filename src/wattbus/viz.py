@@ -173,12 +173,23 @@ class VizState:
             self.malformed += 1
 
     def flush(self) -> None:
-        """Write every archive to disk; ingest only waits while one probe is copied."""
+        """Write every archive to disk; ingest only waits while one probe is copied.
+
+        A probe whose files cannot be written does not stop the others from
+        being saved; the first such error is raised once all were tried.
+        """
         with self._flush_lock:
             with self._lock:
                 probes = list(self._probes.values())
+            first_error = None
             for arch in probes:
-                arch.flush(self._lock)
+                try:
+                    arch.flush(self._lock)
+                except Exception as exc:  # a full disk must not cost the other probes their save
+                    log.warning("saving the archives of %s failed: %s", arch.probe.topic, exc)
+                    first_error = first_error or exc
+            if first_error is not None:
+                raise first_error
 
     def probes(self) -> list[str]:
         with self._lock:

@@ -1,5 +1,6 @@
 """The consumer skeleton shared by the API and viz daemons."""
 
+import errno
 import subprocess
 import sys
 import threading
@@ -81,6 +82,28 @@ def test_ingest_error_is_counted_and_ingest_goes_on(tmp_path, make):
     finally:
         server.close()
         pub.close()
+
+
+@pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])
+def test_periodic_error_is_counted_and_periodic_goes_on(tmp_path, make):
+    server, _counts = make(tmp_path)
+    periodic = server.periodic
+    calls = []
+
+    def periodic_raising_once():
+        calls.append(1)
+        if len(calls) == 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        periodic()
+
+    server.periodic = periodic_raising_once
+    server._period_s = 0.01  # the daemons' periods are seconds long
+    try:
+        server.start()
+        assert wait_until(lambda: len(calls) >= 3), len(calls)
+        assert server.periodic_errors == 1
+    finally:
+        server.close()
 
 
 @pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])

@@ -1,9 +1,12 @@
 """Ring semantics, oracle equivalence, and the on-disk format."""
 
+import gc
+import hashlib
 import json
 import math
 import random
 import struct
+import threading
 
 import pytest
 
@@ -133,6 +136,22 @@ class TestFetch:
         with pytest.raises(ValueError):
             RoundRobinArchive(1.0, 4).fetch(10.0, 5.0)
 
+    def test_huge_ranges_return(self):
+        a = RoundRobinArchive(10.0, 4)
+        a.update(25.0, 1.0)
+        results = []
+
+        def fetch_huge():
+            results.append(a.fetch(1e300, 1e301))
+            results.append(a.fetch(-1e301, -1e300))
+            results.append(a.fetch(-1e301, 1e301))
+
+        worker = threading.Thread(target=fetch_huge, daemon=True)
+        worker.start()
+        worker.join(5.0)
+        assert not worker.is_alive(), "fetch did not return for a huge range"
+        assert results == [[], [], a.fetch_all()]
+
 
 def random_trace(rng, max_jump_buckets, step):
     t = rng.uniform(0.1, 50.0)
@@ -158,6 +177,9 @@ class TestOracleEquivalence:
             got = archive.fetch_all()
             assert json.dumps(got) == json.dumps(expected), \
                 f"case {case}: step={step} capacity={capacity}"
+            twin = RoundRobinArchive.from_bytes(archive.dump_bytes())
+            assert json.dumps(twin.fetch_all()) == json.dumps(got), f"case {case}"
+            assert twin.dump_bytes() == archive.dump_bytes(), f"case {case}"
 
 
 class TestPersistence:
@@ -208,6 +230,26 @@ class TestPersistence:
         newest, = struct.unpack_from("<q", data, 21)
         assert (step, capacity, cons, newest) == (60.0, 3, 2, 1)
         assert len(data) == 45 + 3 * 24  # header + slots
+
+    def test_dump_bytes_golden_hash(self):
+        # every state of three archives fed samples that consolidate in one
+        # bucket, skip a bucket, arrive late and jump past capacity
+        samples = [(12.5, 100.0), (17.0, 150.25), (31.0, 80.5), (29.0, 999.0),
+                   (35.0, 120.0), (52.0, 60.75), (200.5, 42.0), (203.0, 43.5)]
+        digest = hashlib.sha256()
+        for consolidation in (AVERAGE, MIN, MAX):
+            a = RoundRobinArchive(10.0, 6, consolidation)
+            for t, w in samples:
+                a.update(t, w)
+                digest.update(a.dump_bytes())
+            assert (a.late_drops, a.generation) == (1, 7)
+        assert digest.hexdigest() == \
+            "40d1ee77d4f7716944c9f3bcb41b8553fc2dafef725bb34126eb98b1d30071f0"
+
+    def test_archive_gives_the_collector_nothing_to_walk(self):
+        a = RoundRobinArchive(1.0, 3600)
+        a.update(5.0, 1.0)
+        assert [name for name, value in vars(a).items() if gc.is_tracked(value)] == []
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.rra"

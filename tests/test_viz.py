@@ -1,5 +1,6 @@
 """Chart statistics, cost, the render cache, and the viz HTTP surface."""
 
+import errno
 import json
 import os
 import threading
@@ -9,6 +10,7 @@ from dataclasses import asdict
 
 import pytest
 
+import wattbus.rra
 from wattbus.config import ArchiveDef, VizConfig
 from wattbus.model import Measurement, ProbeId
 from wattbus.rra import RoundRobinArchive
@@ -191,6 +193,42 @@ class TestVizState:
         fresh.ingest(m("a/p", 105.0, 150.0))
         assert fresh.stats("a/p").max_w == 150.0
 
+    def test_failed_write_keeps_old_file_and_saves_other_probes(self, tmp_path, monkeypatch):
+        data_dir = tmp_path / "data"
+        state = VizState(small_viz_config(), data_dir=str(data_dir),
+                         cache_dir=str(tmp_path / "c"))
+        for topic in ("a/p", "a/q"):
+            state.ingest(m(topic, 100.0, 50.0))
+        state.flush()
+        before = {path: path.read_bytes() for path in data_dir.rglob("*.rra")}
+        assert len(before) == 4
+        for topic in ("a/p", "a/q"):
+            state.ingest(m(topic, 110.0, 70.0))
+
+        def open_full_for_p(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if os.path.join("a", "p", "") in path:
+                fh.close()  # the file exists, as after a write that ran out of space
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return fh
+
+        monkeypatch.setattr(wattbus.rra, "open", open_full_for_p, raising=False)
+        with pytest.raises(OSError) as failure:
+            state.flush()
+        monkeypatch.undo()
+        assert failure.value.errno == errno.ENOSPC
+        assert list(data_dir.rglob("*.tmp")) == []
+        for path, old in before.items():
+            if path.parent.name == "p":
+                assert path.read_bytes() == old
+                kept = RoundRobinArchive.load(str(path)).fetch_all()
+                assert [w for _, w in kept if w is not None] == [50.0]
+            else:
+                assert path.read_bytes() != old
+        fresh = VizState(small_viz_config(), data_dir=str(data_dir), cache_dir=str(tmp_path / "c2"))
+        fresh.ingest(m("a/q", 111.0, 70.0))
+        assert fresh.stats("a/q", step_s=10.0).max_w == 70.0
+
     def test_persistence_flush_and_reload(self, tmp_path):
         data_dir = str(tmp_path / "data")
         cfg = small_viz_config()
@@ -253,6 +291,29 @@ class TestVizHttp:
         assert status == 404
         status, _, _ = http_get(f"{server.url}/stats/no/body")
         assert status == 404
+
+    def test_huge_range_is_answered_and_ingest_goes_on(self, state):
+        state.ingest(m("a/p", 100.0, 80.0))
+        result = {}
+
+        def scenario():  # a thread: at worst the request never returns
+            server = VizServer(state, ("127.0.0.1", 0))
+            server.start()
+            try:
+                for query in ("/stats/a/p?from=1e300&to=1e301",
+                              "/charts/a/p.svg?from=-1e301&to=-1e300"):
+                    result[query] = http_get(f"{server.url}{query}")[0]
+                state.ingest(m("a/p", 110.0, 90.0))
+                result["ingested"] = state.ingested
+            finally:
+                server.close()
+
+        worker = threading.Thread(target=scenario, daemon=True)
+        worker.start()
+        worker.join(10.0)
+        assert not worker.is_alive(), "viz stopped answering or ingesting"
+        assert result == {"/stats/a/p?from=1e300&to=1e301": 400,
+                          "/charts/a/p.svg?from=-1e301&to=-1e300": 400, "ingested": 2}
 
     def test_malformed_400(self, server, state):
         state.ingest(m("a/p", 100.0, 80.0))
