@@ -3,10 +3,11 @@
 A scenario spawns one child process that runs the driver fleet (publisher
 plus the driver manager's scheduler thread); the calling process subscribes
 and counts, so the measurement side never shares an interpreter with the
-load generator.  One pipe carries the child's endpoint URL and then its
-stats.  The driver fleet runs a fixed number of ticks paced at the scenario
-interval, which makes the expected publication count exact: fleet size
-times ticks.
+load generator.  There the subscriber's reader thread counts each read's
+frames as it reads them, while the calling thread only waits for the end.
+One pipe carries the child's endpoint URL and then its stats.  The driver
+fleet runs a fixed number of ticks paced at the scenario interval, which
+makes the expected publication count exact: fleet size times ticks.
 
 The two standard fleets:
 
@@ -192,25 +193,25 @@ def _driver_process(scenario: Scenario, endpoint_fields: dict, base_seed: int,
     conn.send({**stats, "elapsed_s": time.monotonic() - t0})
 
 
-def _count_frames(sub, secret: bytes | None, driver_done, deadline: float) -> dict:
+def _count_frames(endpoint: Endpoint, secret: bytes | None, driver_done,
+                  deadline: float) -> dict:
     """Count, decode and verify frames until the driver is done and the bus idle.
 
-    ``driver_done()`` is polled only while no frame arrives; at the monotonic
-    ``deadline`` the count stops whatever the driver does.
+    The subscriber's reader thread counts each frame as it reaches it; this
+    thread polls ``driver_done()`` only once no frame has arrived for
+    ``IDLE_GRACE_S``, and at the monotonic ``deadline`` the count stops
+    whatever the driver does.
     """
     cpu0 = _cpu_seconds()
     arrivals: list[float] = []
     topics: list[str] = []
-    verified = 0
-    failures = 0
-    last_activity = time.monotonic()
-    while time.monotonic() < deadline:
-        frame = sub.get(timeout=0.25)
-        now = time.monotonic()
-        if frame is not None:
-            arrivals.append(now)
+    verified = failures = 0
+
+    def count(frames) -> None:
+        nonlocal verified, failures
+        for frame in frames:
+            arrivals.append(time.monotonic())
             topics.append(frame.topic)
-            last_activity = now
             if secret is not None:
                 try:
                     m = decode_measurement(frame.payload)
@@ -221,8 +222,17 @@ def _count_frames(sub, secret: bytes | None, driver_done, deadline: float) -> di
                     verified += 1
                 else:
                     failures += 1
-        elif now - last_activity > IDLE_GRACE_S and driver_done():
-            break
+
+    started = time.monotonic()
+    sub = Subscriber(endpoint, "", count)
+    try:
+        while (now := time.monotonic()) < deadline:
+            last_activity = arrivals[-1] if arrivals else started
+            if now - last_activity > IDLE_GRACE_S and driver_done():
+                break
+            time.sleep(min(0.25, deadline - now))
+    finally:
+        sub.close()
     return {
         "received": len(arrivals),
         "verified": verified,
@@ -290,14 +300,10 @@ def run_scenario(scenario: Scenario, transport: str = "tcp",
             if not reader.poll(60.0):
                 raise RuntimeError("driver process never reported its bus endpoint")
             t0 = time.monotonic()
-            sub = Subscriber(Endpoint.parse(reader.recv()), "")
-            try:
-                counted = _count_frames(
-                    sub, BENCH_SECRET if scenario.signing else None,
-                    lambda: reader.poll() or not driver.is_alive(),
-                    t0 + scenario.duration_s * 3 + 120.0)
-            finally:
-                sub.close()
+            counted = _count_frames(
+                Endpoint.parse(reader.recv()), BENCH_SECRET if scenario.signing else None,
+                lambda: reader.poll() or not driver.is_alive(),
+                t0 + scenario.duration_s * 3 + 120.0)
             elapsed = time.monotonic() - t0
             driver.join(timeout=30.0)
             hung = driver.is_alive()

@@ -24,8 +24,8 @@ one bus loop thread writes that backlog, accepts, handshakes and notices
 closed subscribers.  A slow consumer overflows only its own queue: the
 oldest frames not yet offered to the kernel are dropped (counted in
 ``drops``), and other subscribers are unaffected.  A ``Subscriber``
-stops reading while ``SUBSCRIBER_QUEUE_FRAMES`` frames wait in its local
-queue, and never drops one itself, so a consumer that stalls pushes back
+hands each read's frames to its consumer's callback before it reads
+again and never drops one itself, so a consumer that stalls pushes back
 through the socket into that publisher queue.
 """
 
@@ -54,7 +54,7 @@ _SEND_BUFFER = 256 * 1024
 
 HANDSHAKE_TOPIC = "SUB"
 
-SUBSCRIBER_QUEUE_FRAMES = 10_000  # a Subscriber's local bound, the publisher's default
+PUBLISHER_QUEUE_FRAMES = 10_000  # default bound on the frames a connection holds back
 
 
 class FrameError(ValueError):
@@ -240,7 +240,7 @@ class Publisher:
     kernel buffer filled, so one slow consumer cannot stall the others.
     """
 
-    def __init__(self, endpoint: Endpoint, queue_size: int = SUBSCRIBER_QUEUE_FRAMES,
+    def __init__(self, endpoint: Endpoint, queue_size: int = PUBLISHER_QUEUE_FRAMES,
                  handshake_timeout: float = 5.0):
         self._queue_size = queue_size
         self._handshake_timeout = handshake_timeout
@@ -475,60 +475,42 @@ class Publisher:
 
 
 class Subscriber:
-    """Connects to a publisher and yields matching frames.
+    """Connects to a publisher and hands each read's frames to ``on_frames``.
+
+    One reader thread connects and reads: after each ``recv`` it calls
+    ``on_frames(frames)`` with the frames that read completed, in order,
+    and only then reads again.  A consumer that falls behind therefore
+    stops the reads, and the backlog waits in the kernel socket buffers and
+    then in its publisher's queue, which drops and counts the overflow.
+    An exception from ``on_frames`` is logged and reading goes on.
 
     Reconnects transparently with exponential backoff after connection
     loss; frames published while disconnected are lost, never replayed.
     After ``retries_before_error`` consecutive failed connection attempts
     an ``unreachable`` event is emitted (the stream stays alive and keeps
-    retrying).
-
-    Iterate over the instance, or call ``get(timeout)`` which returns None
-    on timeout and after close.  While ``SUBSCRIBER_QUEUE_FRAMES`` frames
-    wait in the local queue the reader does not call ``recv``; the queue
-    then holds at most that bound plus one ``recv`` worth of frames.  No
-    frame is discarded here: the overflow of a consumer that stalls backs
-    up into its publisher's queue, which drops and counts it.
+    retrying).  Once ``close()`` returns, ``on_frames`` is not called
+    again; ``on_frames`` may call ``close()`` itself.
     """
 
-    def __init__(self, endpoint: Endpoint, prefix: str = "",
+    def __init__(self, endpoint: Endpoint, prefix: str, on_frames,
                  on_event=None,
                  reconnect_delay: float = 0.05,
                  max_reconnect_delay: float = 2.0,
                  retries_before_error: int = 10):
         self.endpoint = endpoint
         self.prefix = prefix
+        self._on_frames = on_frames
         self._on_event = on_event
         self._reconnect_delay = reconnect_delay
         self._max_reconnect_delay = max_reconnect_delay
         self._retries_before_error = retries_before_error
-        self._queue: deque[Frame] = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-        self._reader_waiting = False  # set by the reader while it waits for room
+        self._closed = threading.Event()
         self._sock: socket.socket | None = None
         self.frames_received = 0
         self.reconnects = 0
         self._thread = threading.Thread(
             target=self._run, name=f"sub-{endpoint}", daemon=True)
         self._thread.start()
-
-    def get(self, timeout: float | None = None) -> Frame | None:
-        """Next frame, or None on timeout / after close."""
-        with self._cond:
-            if not self._queue:
-                self._cond.wait_for(lambda: self._queue or self._closed, timeout)
-                if not self._queue:
-                    return None  # timed out, or closed and empty
-            if self._reader_waiting:
-                self._reader_waiting = False
-                self._cond.notify_all()
-            return self._queue.popleft()
-
-    def __iter__(self):
-        """Frames until close(), then those still queued."""
-        while (f := self.get()) is not None:
-            yield f
 
     def _emit(self, event: str, detail: str = "") -> None:
         if self._on_event is not None:
@@ -541,7 +523,7 @@ class Subscriber:
         delay = self._reconnect_delay
         failures = 0
         first = True
-        while not self._closed:
+        while not self._closed.is_set():
             sock = None
             try:
                 sock = self.endpoint._create_socket()  # may fail too, say with EMFILE
@@ -557,9 +539,8 @@ class Subscriber:
                 failures += 1
                 if failures == self._retries_before_error:
                     self._emit("unreachable", str(exc))
-                with self._cond:  # the backoff ends early on close()
-                    if self._cond.wait_for(lambda: self._closed, delay):
-                        return
+                if self._closed.wait(delay):  # the backoff ends early on close()
+                    return
                 delay = min(delay * 2, self._max_reconnect_delay)
                 continue
             failures = 0
@@ -572,7 +553,7 @@ class Subscriber:
             self._read_until_error(sock)
             self._sock = None
             sock.close()
-            if not self._closed:
+            if not self._closed.is_set():
                 self._emit("disconnected", str(self.endpoint))
 
     def _read_until_error(self, sock: socket.socket) -> None:
@@ -580,8 +561,7 @@ class Subscriber:
         # one buffer for every recv: a fresh 64 KiB bytes object per recv,
         # shrunk to what arrived, fragments the heap as it churns
         chunk = memoryview(bytearray(65536))
-        while not self._closed:
-            self._wait_for_room()
+        while not self._closed.is_set():
             try:
                 n = sock.recv_into(chunk)
             except OSError:
@@ -593,27 +573,20 @@ class Subscriber:
             except FrameError as exc:
                 log.warning("protocol error from %s: %s", self.endpoint, exc)
                 return
+            if self._closed.is_set():
+                return  # close() ends delivery, even of what was read before it
             if frames:
-                with self._cond:
-                    if self._closed:
-                        return
-                    self._queue.extend(frames)
-                    self.frames_received += len(frames)
-                    self._cond.notify_all()
-
-    def _wait_for_room(self) -> None:
-        """Block while the local queue is full; ``get`` wakes us."""
-        with self._cond:
-            while len(self._queue) >= SUBSCRIBER_QUEUE_FRAMES and not self._closed:
-                self._reader_waiting = True
-                self._cond.wait()
+                self.frames_received += len(frames)
+                try:
+                    self._on_frames(frames)
+                except Exception:  # one bad batch must not end the stream
+                    log.exception("subscriber frame callback failed")
 
     def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        self._closed.set()
         sock = self._sock
         if sock is not None:
             with suppress(OSError):
                 sock.shutdown(socket.SHUT_RDWR)  # ends a blocked recv
-        self._thread.join(timeout=5.0)
+        if threading.current_thread() is not self._thread:  # else on_frames is closing
+            self._thread.join(timeout=5.0)

@@ -2,9 +2,13 @@
 
 A consumer plugin is a state fed from the bus, an HTTP handler that reads
 it, and one periodic task.  ``ConsumerServer`` owns everything else: the
-HTTP server, the optional bus ``Subscriber``, and the HTTP, ingest and
-periodic threads.  Undecodable payloads are counted on the state
-(``count_malformed``) and skipped; every other payload goes to
+HTTP server, the optional bus ``Subscriber``, and three threads: HTTP,
+periodic, and the subscriber's reader, which decodes and ingests each
+read's frames before it reads again.  Undecodable payloads are counted on
+the state (``count_malformed``) and skipped.  A measurement dated more
+than ``MAX_AHEAD_S`` past this host's clock is counted in
+``future_skipped`` and skipped, so one bad clock cannot make every later
+on-time sample of its probe look late.  Every other payload goes to
 ``state.ingest``.  An exception from ``state.ingest`` is logged and counted
 in ``ingest_errors``, and ingest goes on with the next frame; one from the
 periodic task is logged and counted in ``periodic_errors``, and the task
@@ -19,12 +23,15 @@ from __future__ import annotations
 import json
 import logging
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from wattbus.bus import Endpoint, Subscriber
 from wattbus.model import DecodeError, Measurement
 
 log = logging.getLogger(__name__)
+
+MAX_AHEAD_S = 300.0  # how far past the local clock a measurement may be dated
 
 
 class ConsumerHandler(BaseHTTPRequestHandler):
@@ -67,6 +74,7 @@ class ConsumerServer:
         self._subscriber: Subscriber | None = None
         self._stop = threading.Event()
         self.ingest_errors = 0  # state.ingest calls that raised
+        self.future_skipped = 0  # measurements dated more than MAX_AHEAD_S ahead
         self.periodic_errors = 0  # periodic calls that raised
 
     @property
@@ -89,8 +97,7 @@ class ConsumerServer:
     def start(self, subscribe: Endpoint | None = None, prefix: str = "") -> None:
         self._spawn(self._httpd.serve_forever, "http")
         if subscribe is not None:
-            self._subscriber = Subscriber(subscribe, prefix)
-            self._spawn(self._ingest_loop, "ingest")
+            self._subscriber = Subscriber(subscribe, prefix, self._ingest)
         self._spawn(self._periodic_loop, "periodic")
         log.info("%s listening on %s", self.name, self.url)
 
@@ -99,14 +106,20 @@ class ConsumerServer:
         t.start()
         self._threads.append(t)
 
-    def _ingest_loop(self) -> None:
-        assert self._subscriber is not None
-        for frame in self._subscriber:
+    def _ingest(self, frames) -> None:
+        """Decode and ingest one read's frames, on the subscriber's thread."""
+        horizon = time.time() + MAX_AHEAD_S
+        for frame in frames:
             try:
                 m = self.decode(frame.payload)
             except DecodeError as exc:
                 self.state.count_malformed()
                 log.warning("undecodable payload on %r: %s", frame.topic, exc)
+                continue
+            if m.timestamp > horizon:
+                self.future_skipped += 1
+                log.warning("measurement on %r dated %.6g, more than %g s ahead, skipped",
+                            frame.topic, m.timestamp, MAX_AHEAD_S)
                 continue
             try:
                 self.state.ingest(m)

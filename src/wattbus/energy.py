@@ -13,7 +13,6 @@ malformed traffic.
 from __future__ import annotations
 
 import logging
-import math
 import threading
 import time
 from dataclasses import dataclass
@@ -32,19 +31,15 @@ class OutOfOrderError(ValueError):
     """A sample is older than the one before it."""
 
 
-def integrate_energy(prev_w: float, prev_t: float, w: float, t: float,
-                     gap_limit_s: float = math.inf) -> float:
+def integrate_energy(prev_w: float, prev_t: float, w: float, t: float) -> float:
     """Energy (kWh) contributed by the interval between two samples.
 
-    Trapezoidal rule: mean power times elapsed seconds.  Intervals longer
-    than ``gap_limit_s`` return 0.0 (the caller records a gap).
+    Trapezoidal rule: mean power times elapsed seconds.  The caller applies
+    the gap limit: an interval longer than it contributes nothing.
     """
     if t < prev_t:
         raise OutOfOrderError(f"sample at {t} predates previous sample at {prev_t}")
-    dt = t - prev_t
-    if dt > gap_limit_s:
-        return 0.0
-    return (prev_w + w) / 2.0 * dt / WS_PER_KWH
+    return (prev_w + w) / 2.0 * (t - prev_t) / WS_PER_KWH
 
 
 @dataclass

@@ -8,8 +8,10 @@ verify unchanged after any number of hops.  Forwarders never verify
 signatures themselves; they may not hold the secret, and verification is a
 consumer duty.
 
-Multiple upstreams are merged onto one downstream publisher.  Per-upstream
-frame order is preserved; interleaving between upstreams is unspecified.
+Multiple upstreams are merged onto one downstream publisher.  Each
+upstream has one thread, its subscriber's reader, which re-publishes what
+each read brought in one batch before it reads again.  Per-upstream frame
+order is preserved; interleaving between upstreams is unspecified.
 There is no deduplication, so topologies where the same frame can reach a
 forwarder twice (diamonds) must be avoided by the operator.
 """
@@ -46,19 +48,12 @@ class Forwarder:
     def __init__(self, cfg: ForwarderConfig):
         self.cfg = cfg
         self.publisher = Publisher(cfg.downstream_bind)
-        self._subscribers: list[Subscriber] = []
-        self._pumps: list[threading.Thread] = []
-        self._closed = False
-        self._count_lock = threading.Lock()  # one pump thread per upstream counts
+        self._count_lock = threading.Lock()  # one reader thread per upstream counts
         self.frames_forwarded = 0
-        for endpoint, prefix in cfg.upstreams:
-            sub = Subscriber(endpoint, prefix,
-                             on_event=self._upstream_event(endpoint))
-            self._subscribers.append(sub)
-            pump = threading.Thread(target=self._pump, args=(sub,),
-                                    name=f"fwd-{endpoint}", daemon=True)
-            self._pumps.append(pump)
-            pump.start()
+        self._subscribers = [
+            Subscriber(endpoint, prefix, self._relay,
+                       on_event=self._upstream_event(endpoint))
+            for endpoint, prefix in cfg.upstreams]
 
     @staticmethod
     def _upstream_event(endpoint: Endpoint):
@@ -69,25 +64,16 @@ class Forwarder:
                 log.info("upstream %s: %s", endpoint, event)
         return handler
 
-    def _pump(self, sub: Subscriber) -> None:
-        for frame in sub:
-            if self._closed:
-                return
-            relayed = 0
-            with self.publisher.batch():  # one send per subscriber for what is queued
-                while frame is not None:
-                    self.publisher.publish(frame)
-                    relayed += 1
-                    frame = sub.get(timeout=0)
-            with self._count_lock:
-                self.frames_forwarded += relayed
+    def _relay(self, frames) -> None:
+        with self.publisher.batch():  # one send per downstream subscriber per read
+            for frame in frames:
+                self.publisher.publish(frame)
+        with self._count_lock:
+            self.frames_forwarded += len(frames)
 
     def close(self) -> None:
-        self._closed = True
         for sub in self._subscribers:
             sub.close()
-        for pump in self._pumps:
-            pump.join(timeout=5.0)
         self.publisher.close()
 
 

@@ -77,24 +77,20 @@ def _archive_filename(d: ArchiveDef) -> str:
 class _ProbeArchives:
     """All granularities for one probe, plus its chart cache bookkeeping."""
 
-    def __init__(self, probe: ProbeId, defs: tuple[ArchiveDef, ...],
-                 data_dir: str | None):
+    def __init__(self, probe: ProbeId, defs: tuple[ArchiveDef, ...], data_dir: str):
         self.probe = probe
         self.defs = defs
-        self.dir = None
-        if data_dir is not None:
-            self.dir = os.path.join(data_dir, probe.site, probe.name)
-            os.makedirs(self.dir, exist_ok=True)
+        self.dir = os.path.join(data_dir, probe.site, probe.name)
+        os.makedirs(self.dir, exist_ok=True)
         self.archives: list[RoundRobinArchive] = []
         for d in defs:
             archive = None
-            if self.dir is not None:
-                path = os.path.join(self.dir, _archive_filename(d))
-                if os.path.exists(path):
-                    try:
-                        archive = RoundRobinArchive.load(path)
-                    except (OSError, ValueError) as exc:
-                        log.warning("discarding unreadable archive %s: %s", path, exc)
+            path = os.path.join(self.dir, _archive_filename(d))
+            if os.path.exists(path):
+                try:
+                    archive = RoundRobinArchive.load(path)
+                except (OSError, ValueError) as exc:
+                    log.warning("discarding unreadable archive %s: %s", path, exc)
             if archive is None:
                 archive = RoundRobinArchive(d.step_s, d.capacity, d.consolidation)
             self.archives.append(archive)
@@ -105,8 +101,6 @@ class _ProbeArchives:
 
     def flush(self, lock: threading.Lock) -> None:
         """Save copies of the archives taken under ``lock``, writing outside it."""
-        if self.dir is None:
-            return
         with lock:
             copies = [archive.copy() for archive in self.archives]
         for d, archive in zip(self.defs, copies):

@@ -1,3 +1,6 @@
+import threading
+from collections import deque
+
 import hypothesis.strategies as st
 
 from wattbus.model import Measurement, ProbeId
@@ -27,3 +30,23 @@ measurements = st.builds(
     volts=optional_watts,
     amps=optional_watts,
 )
+
+
+class Inbox:
+    """A ``Subscriber``'s ``on_frames`` that tests read back with ``get``."""
+
+    def __init__(self):
+        self._frames = deque()
+        self._cond = threading.Condition()
+
+    def __call__(self, frames):
+        with self._cond:
+            self._frames.extend(frames)
+            self._cond.notify_all()
+
+    def get(self, timeout):
+        """The next frame, or None if none arrives within ``timeout`` seconds."""
+        with self._cond:
+            if not self._cond.wait_for(lambda: self._frames, timeout):
+                return None
+            return self._frames.popleft()

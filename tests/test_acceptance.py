@@ -27,6 +27,7 @@ from wattbus.pollster import poll_once as pollster_poll_once, read_sink
 from wattbus.rra import AVERAGE, MAX, MIN, RoundRobinArchive
 from wattbus.signing import sign, verify
 
+from conftest import Inbox
 from test_bus import loopback, wait_until
 from test_rra import naive_retained
 
@@ -197,8 +198,9 @@ class TestC06ForwarderTransparency:
                 forwarders.append(fwd)
                 upstream = fwd.publisher.endpoint
 
-            direct = Subscriber(pub.endpoint, "")
-            chained = Subscriber(upstream, "")
+            direct_inbox, chained_inbox = Inbox(), Inbox()
+            direct = Subscriber(pub.endpoint, "", direct_inbox)
+            chained = Subscriber(upstream, "", chained_inbox)
             assert wait_until(lambda: pub.subscriber_count == 2)
             for fwd in forwarders[:-1]:
                 assert wait_until(lambda: fwd.publisher.subscriber_count == 1)
@@ -209,16 +211,16 @@ class TestC06ForwarderTransparency:
                 m = sign(Measurement(probe, float(seq), float(seq % 300)), secret)
                 pub.publish(Frame(probe.topic, encode_measurement(m)))
 
-            def collect(sub):
+            def collect(inbox):
                 frames = []
                 while len(frames) < 1000:
-                    f = sub.get(timeout=10.0)
+                    f = inbox.get(timeout=10.0)
                     assert f is not None, f"stalled at {len(frames)}"
                     frames.append((f.topic, f.payload))
                 return frames
 
-            got_direct = collect(direct)
-            got_chained = collect(chained)
+            got_direct = collect(direct_inbox)
+            got_chained = collect(chained_inbox)
             assert got_chained == got_direct  # byte-identical, in order
             seqs = [decode_measurement(p).timestamp for _, p in got_chained]
             assert seqs == [float(s) for s in range(1, 1001)]

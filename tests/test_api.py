@@ -40,9 +40,6 @@ class TestIntegrateEnergy:
     def test_zero_interval(self):
         assert integrate_energy(500, 10, 700, 10) == 0.0
 
-    def test_gap_contributes_nothing(self):
-        assert integrate_energy(1000, 0, 1000, 3600, gap_limit_s=60) == 0.0
-
     def test_out_of_order_raises(self):
         with pytest.raises(OutOfOrderError):
             integrate_energy(100, 50, 100, 49)

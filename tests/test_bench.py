@@ -17,6 +17,7 @@ from wattbus.bench import (
     scenario_from_name,
     write_results,
 )
+from wattbus.bus import Endpoint, Publisher
 
 
 def smoke(name="smoke", fleet="ipmi", signing=False, interval=0.1,
@@ -143,14 +144,12 @@ class TestRunScenario:
             assert key in row
 
 
-class _SilentSubscriber:
-    def get(self, timeout):
-        time.sleep(timeout)
-        return None
-
-
 def test_count_stops_at_its_deadline_when_the_driver_never_exits():
-    started = time.monotonic()
-    counted = _count_frames(_SilentSubscriber(), None, lambda: False, started + 0.5)
-    assert 0.5 <= time.monotonic() - started < 2.0
-    assert counted["received"] == 0
+    silent = Publisher(Endpoint("tcp", host="127.0.0.1", port=0))
+    try:
+        started = time.monotonic()
+        counted = _count_frames(silent.endpoint, None, lambda: False, started + 0.5)
+        assert 0.5 <= time.monotonic() - started < 2.0
+        assert counted["received"] == 0
+    finally:
+        silent.close()

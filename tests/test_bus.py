@@ -15,7 +15,6 @@ import hypothesis.strategies as st
 
 from wattbus.bus import (
     MAX_FRAME,
-    SUBSCRIBER_QUEUE_FRAMES,
     Endpoint,
     Frame,
     FrameError,
@@ -25,6 +24,8 @@ from wattbus.bus import (
     frame_decode,
     frame_encode,
 )
+
+from conftest import Inbox
 
 
 def wait_until(predicate, timeout=5.0, interval=0.005):
@@ -143,14 +144,15 @@ class TestTcpPubSub:
     def test_prefix_routing(self):
         pub = Publisher(loopback())
         try:
-            sub_all = Subscriber(pub.endpoint, "")  # the empty prefix matches every topic
-            sub_full = Subscriber(pub.endpoint, "s/p")  # a whole topic is its own prefix
-            sub_x = Subscriber(pub.endpoint, "x/")
+            inbox_all, inbox_full, inbox_x = Inbox(), Inbox(), Inbox()
+            sub_all = Subscriber(pub.endpoint, "", inbox_all)  # the empty prefix matches every topic
+            sub_full = Subscriber(pub.endpoint, "s/p", inbox_full)  # a whole topic is its own prefix
+            sub_x = Subscriber(pub.endpoint, "x/", inbox_x)
             assert wait_until(lambda: pub.subscriber_count == 3)
             pub.publish(Frame("s/p", b"payload"))
-            assert sub_all.get(timeout=5.0) == Frame("s/p", b"payload")
-            assert sub_full.get(timeout=5.0) == Frame("s/p", b"payload")
-            assert sub_x.get(timeout=0.3) is None
+            assert inbox_all.get(timeout=5.0) == Frame("s/p", b"payload")
+            assert inbox_full.get(timeout=5.0) == Frame("s/p", b"payload")
+            assert inbox_x.get(timeout=0.3) is None
             for sub in (sub_all, sub_full, sub_x):
                 sub.close()
         finally:
@@ -159,12 +161,13 @@ class TestTcpPubSub:
     def test_non_ascii_prefix_matches_bytewise(self):
         pub = Publisher(loopback())
         try:
-            sub = Subscriber(pub.endpoint, "\u00e9")
+            inbox = Inbox()
+            sub = Subscriber(pub.endpoint, "\u00e9", inbox)
             assert wait_until(lambda: pub.subscriber_count == 1)
             pub.publish(Frame("e/x", b"no"))
             pub.publish(Frame("\u00e9/x", b"yes"))
-            assert sub.get(timeout=5.0) == Frame("\u00e9/x", b"yes")
-            assert sub.get(timeout=0.3) is None
+            assert inbox.get(timeout=5.0) == Frame("\u00e9/x", b"yes")
+            assert inbox.get(timeout=0.3) is None
             assert (pub.publish_calls, pub.frames_delivered) == (2, 1)
             sub.close()
         finally:
@@ -184,7 +187,7 @@ class TestTcpPubSub:
     def test_non_matching_subscriber_gets_no_bytes(self):
         pub = Publisher(loopback())
         try:
-            sub = Subscriber(pub.endpoint, "elsewhere/")
+            sub = Subscriber(pub.endpoint, "elsewhere/", Inbox())
             assert wait_until(lambda: pub.subscriber_count == 1)
             for i in range(100):
                 pub.publish(Frame("here/p", b"x"))
@@ -197,13 +200,14 @@ class TestTcpPubSub:
     def test_ordered_delivery_10k(self):
         pub = Publisher(loopback())
         try:
-            sub = Subscriber(pub.endpoint, "")
+            inbox = Inbox()
+            sub = Subscriber(pub.endpoint, "", inbox)
             assert wait_until(lambda: pub.subscriber_count == 1)
             for i in range(10_000):
                 pub.publish(Frame("s/p", json.dumps({"seq": i}).encode()))
             received = []
             while len(received) < 10_000:
-                f = sub.get(timeout=5.0)
+                f = inbox.get(timeout=5.0)
                 assert f is not None, f"stream dried up at {len(received)}"
                 received.append(json.loads(f.payload)["seq"])
             assert received == list(range(10_000))
@@ -214,12 +218,13 @@ class TestTcpPubSub:
     def test_fan_out_identical_prefixes(self):
         pub = Publisher(loopback())
         try:
-            subs = [Subscriber(pub.endpoint, "a/") for _ in range(2)]
+            inboxes = [Inbox() for _ in range(2)]
+            subs = [Subscriber(pub.endpoint, "a/", inbox) for inbox in inboxes]
             assert wait_until(lambda: pub.subscriber_count == 2)
             for i in range(50):
                 pub.publish(Frame("a/p", b"%d" % i))
-            for sub in subs:
-                got = [sub.get(timeout=5.0) for _ in range(50)]
+            for sub, inbox in zip(subs, inboxes):
+                got = [inbox.get(timeout=5.0) for _ in range(50)]
                 assert [int(f.payload) for f in got] == list(range(50))
                 sub.close()
         finally:
@@ -228,14 +233,15 @@ class TestTcpPubSub:
     def test_filter_postcondition(self):
         pub = Publisher(loopback())
         try:
-            sub = Subscriber(pub.endpoint, "siteA/")
+            inbox = Inbox()
+            sub = Subscriber(pub.endpoint, "siteA/", inbox)
             assert wait_until(lambda: pub.subscriber_count == 1)
             topics = ["siteA/p1", "siteB/p1", "siteA/p2", "siteAx/p", "other/x"]
             for i, topic in enumerate(topics * 20):
                 pub.publish(Frame(topic, b"%d" % i))
             pub.drain()
             seen = []
-            while (f := sub.get(timeout=0.3)) is not None:
+            while (f := inbox.get(timeout=0.3)) is not None:
                 seen.append(f.topic)
             assert len(seen) == 40  # only siteA/p1 and siteA/p2 match "siteA/"
             assert all(t.startswith("siteA/") for t in seen)
@@ -247,7 +253,8 @@ class TestTcpPubSub:
         pub = Publisher(loopback())
         port = pub.endpoint.port
         events = []
-        sub = Subscriber(pub.endpoint, "", on_event=lambda e, d: events.append(e))
+        inbox = Inbox()
+        sub = Subscriber(pub.endpoint, "", inbox, on_event=lambda e, d: events.append(e))
         assert wait_until(lambda: pub.subscriber_count == 1)
         for i in range(5):
             pub.publish(Frame("s/p", b"%d" % i))
@@ -261,7 +268,7 @@ class TestTcpPubSub:
             pub2.publish(Frame("s/p", b"%d" % i))
         got = []
         while len(got) < 10:
-            f = sub.get(timeout=5.0)
+            f = inbox.get(timeout=5.0)
             if f is None:
                 break
             got.append(int(f.payload))
@@ -278,7 +285,8 @@ class TestTcpPubSub:
         probe_sock.close()
 
         events = []
-        sub = Subscriber(Endpoint("tcp", host="127.0.0.1", port=port), "",
+        inbox = Inbox()
+        sub = Subscriber(Endpoint("tcp", host="127.0.0.1", port=port), "", inbox,
                          on_event=lambda e, d: events.append(e),
                          reconnect_delay=0.02, retries_before_error=3)
         assert wait_until(lambda: "unreachable" in events, timeout=10.0)
@@ -286,7 +294,7 @@ class TestTcpPubSub:
         pub = Publisher(Endpoint("tcp", host="127.0.0.1", port=port))
         assert wait_until(lambda: pub.subscriber_count == 1, timeout=10.0)
         pub.publish(Frame("s/p", b"alive"))
-        assert sub.get(timeout=5.0) == Frame("s/p", b"alive")
+        assert inbox.get(timeout=5.0) == Frame("s/p", b"alive")
         sub.close()
         pub.close()
 
@@ -304,35 +312,63 @@ class TestTcpPubSub:
             return create(endpoint)
 
         monkeypatch.setattr(Endpoint, "_create_socket", fail_once)
-        sub = Subscriber(pub.endpoint, "", reconnect_delay=0.02)
+        inbox = Inbox()
+        sub = Subscriber(pub.endpoint, "", inbox, reconnect_delay=0.02)
         try:
             assert wait_until(lambda: pub.subscriber_count == 1)
             pub.publish(Frame("s/p", b"after EMFILE"))
-            assert sub.get(timeout=5.0) == Frame("s/p", b"after EMFILE")
+            assert inbox.get(timeout=5.0) == Frame("s/p", b"after EMFILE")
             assert len(calls) == 2
         finally:
             sub.close()
             pub.close()
 
-    def test_iteration_stops_on_close(self):
+    def test_close_ends_delivery(self):
+        # a producer keeps publishing across close(): once close() returns
+        # the reader has ended and on_frames is not called again
+        pub = Publisher(loopback())
+        stop = threading.Event()
+
+        def produce():
+            while not stop.is_set():
+                pub.publish(Frame("s/p", b"x"))
+                time.sleep(0.001)
+
+        producer = threading.Thread(target=produce)
+        try:
+            got = []
+            sub = Subscriber(pub.endpoint, "", got.extend)
+            assert wait_until(lambda: pub.subscriber_count == 1)
+            producer.start()
+            assert wait_until(lambda: len(got) >= 10)
+            sub.close()
+            assert not sub._thread.is_alive()
+            delivered = len(got)
+            time.sleep(0.2)
+            assert len(got) == delivered
+        finally:
+            stop.set()
+            producer.join(timeout=5.0)
+            pub.close()
+
+    def test_close_from_on_frames_returns(self):
         pub = Publisher(loopback())
         try:
-            sub = Subscriber(pub.endpoint, "")
+            calls, closed = [], threading.Event()
+
+            def close_on_first(frames):
+                calls.append(frames)
+                sub.close()  # must not wait for its own thread
+                closed.set()
+
+            sub = Subscriber(pub.endpoint, "", close_on_first)
             assert wait_until(lambda: pub.subscriber_count == 1)
             pub.publish(Frame("s/p", b"one"))
-            collected = []
-
-            def consume():
-                for f in sub:
-                    collected.append(f)
-
-            t = threading.Thread(target=consume)
-            t.start()
-            assert wait_until(lambda: len(collected) == 1)
-            sub.close()
-            t.join(timeout=5.0)
-            assert not t.is_alive()
-            assert collected == [Frame("s/p", b"one")]
+            assert closed.wait(timeout=2.0)
+            assert wait_until(lambda: not sub._thread.is_alive())
+            pub.publish(Frame("s/p", b"two"))
+            time.sleep(0.2)
+            assert calls == [[Frame("s/p", b"one")]]
         finally:
             pub.close()
 
@@ -344,7 +380,8 @@ class TestTcpPubSub:
         try:
             stuck = socket.create_connection(("127.0.0.1", pub.endpoint.port))
             stuck.sendall(frame_encode(Frame("SUB", b"")))
-            healthy = Subscriber(pub.endpoint, "")
+            healthy_inbox = Inbox()
+            healthy = Subscriber(pub.endpoint, "", healthy_inbox)
             assert wait_until(lambda: pub.subscriber_count == 2)
 
             payload = b"y" * 60_000
@@ -355,7 +392,7 @@ class TestTcpPubSub:
 
             count = 0
             while count < 300:
-                f = healthy.get(timeout=5.0)
+                f = healthy_inbox.get(timeout=5.0)
                 assert f is not None, f"healthy subscriber starved at {count}"
                 count += 1
             assert count == 300
@@ -365,37 +402,41 @@ class TestTcpPubSub:
             pub.close(drain_timeout=0.5)  # the stuck conn can never drain
 
     def test_stalled_subscriber_is_bounded_and_pushes_back(self):
-        # a real Subscriber whose consumer never calls get(): its reader
-        # must stop at the local bound so the overflow lands in the
-        # publisher's queue, where it is dropped and counted
+        # a consumer that blocks in on_frames holds at most one recv of
+        # frames; the overflow lands in the publisher's queue, where it is
+        # dropped and counted
         pub = Publisher(loopback(), queue_size=1_000)
-        sub = Subscriber(pub.endpoint, "")
+        release = threading.Event()
+        seqs = []
+
+        def stall(frames):
+            seqs.extend(int(f.payload[:8]) for f in frames)
+            release.wait()
+
+        sub = Subscriber(pub.endpoint, "", stall)
         try:
             assert wait_until(lambda: pub.subscriber_count == 1)
             total = 50_000
             for i in range(total):
                 pub.publish(Frame("s/p", b"%08d" % i + b"x" * 100))
             per_recv = 65536 // len(frame_encode(Frame("s/p", b"0" * 108))) + 1
-            last = -1
-            while len(sub._queue) != last:  # settled: the reader is held back
-                last = len(sub._queue)
-                time.sleep(0.5)
-            assert last <= SUBSCRIBER_QUEUE_FRAMES + per_recv
+            assert wait_until(lambda: seqs)
+            assert len(seqs) <= per_recv
             assert pub.drops > 0
 
-            seqs = []
-            while (f := sub.get(timeout=2.0)) is not None:
-                seqs.append(int(f.payload[:8]))
+            release.set()
+            assert wait_until(lambda: len(seqs) + pub.drops == total, timeout=10.0)
             assert seqs == sorted(set(seqs))  # in publish order, no repeats
-            assert len(seqs) + pub.drops == total
         finally:
+            release.set()
             sub.close()
             pub.close(drain_timeout=0.5)
 
     def test_publish_concurrent_producers(self):
         pub = Publisher(loopback())
         try:
-            sub = Subscriber(pub.endpoint, "")
+            inbox = Inbox()
+            sub = Subscriber(pub.endpoint, "", inbox)
             assert wait_until(lambda: pub.subscriber_count == 1)
 
             def producer(which):
@@ -411,7 +452,7 @@ class TestTcpPubSub:
             seen = {f"t/{w}": [] for w in range(8)}
             total = 0
             while total < 4000:
-                f = sub.get(timeout=5.0)
+                f = inbox.get(timeout=5.0)
                 assert f is not None
                 seen[f.topic].append(int(f.payload))
                 total += 1
@@ -425,7 +466,8 @@ class TestTcpPubSub:
     def test_batch_sends_once_at_the_outermost_exit(self):
         pub = Publisher(loopback())
         try:
-            sub = Subscriber(pub.endpoint, "")
+            inbox = Inbox()
+            sub = Subscriber(pub.endpoint, "", inbox)
             assert wait_until(lambda: pub.subscriber_count == 1)
             size = len(frame_encode(Frame("s/p", b"0")))
             with pub.batch():
@@ -438,7 +480,7 @@ class TestTcpPubSub:
             assert pub.bytes_sent == 10 * size
             pub.publish(Frame("s/p", b"a"))
             assert pub.bytes_sent == 11 * size  # outside a batch: written inline
-            got = [sub.get(timeout=5.0).payload for _ in range(11)]
+            got = [inbox.get(timeout=5.0).payload for _ in range(11)]
             assert got == [b"%d" % i for i in range(10)] + [b"a"]
             sub.close()
         finally:
@@ -448,12 +490,13 @@ class TestTcpPubSub:
         # a deferred send must not turn a healthy subscriber's bound into drops
         pub = Publisher(loopback(), queue_size=10)
         try:
-            sub = Subscriber(pub.endpoint, "")
+            inbox = Inbox()
+            sub = Subscriber(pub.endpoint, "", inbox)
             assert wait_until(lambda: pub.subscriber_count == 1)
             with pub.batch():
                 for i in range(35):
                     pub.publish(Frame("s/p", b"%d" % i))
-            got = [sub.get(timeout=5.0) for _ in range(35)]
+            got = [inbox.get(timeout=5.0) for _ in range(35)]
             assert [int(f.payload) for f in got] == list(range(35))
             assert pub.drops == 0
             sub.close()
@@ -467,7 +510,7 @@ class TestTcpPubSub:
             threads = threading.active_count()
             fds = len(os.listdir("/proc/self/fd"))
             for _ in range(50):
-                sub = Subscriber(pub.endpoint, "nomatch/")
+                sub = Subscriber(pub.endpoint, "nomatch/", Inbox())
                 assert wait_until(lambda: pub.subscriber_count == 1)
                 pub.publish(Frame("elsewhere/p", b"x"))
                 sub.close()
@@ -484,7 +527,8 @@ class TestTcpPubSub:
         try:
             silent = [socket.create_connection(("127.0.0.1", pub.endpoint.port))
                       for _ in range(20)]
-            sub = Subscriber(pub.endpoint, "")
+            inbox = Inbox()
+            sub = Subscriber(pub.endpoint, "", inbox)
             assert wait_until(lambda: pub.subscriber_count == 1)
             # only the bus loop and the subscriber's reader are new
             assert len(set(threading.enumerate()) - before) == 2
@@ -495,7 +539,7 @@ class TestTcpPubSub:
                 except ConnectionResetError:
                     pass
             pub.publish(Frame("s/p", b"still served"))
-            assert sub.get(timeout=5.0) == Frame("s/p", b"still served")
+            assert inbox.get(timeout=5.0) == Frame("s/p", b"still served")
             sub.close()
         finally:
             for s in silent:
@@ -600,7 +644,7 @@ class TestTcpPubSub:
     def test_subscriber_close_is_prompt(self):
         pub = Publisher(loopback())
         try:
-            sub = Subscriber(pub.endpoint, "")
+            sub = Subscriber(pub.endpoint, "", Inbox())
             assert wait_until(lambda: pub.subscriber_count == 1)
             t0 = time.monotonic()
             sub.close()
@@ -609,7 +653,7 @@ class TestTcpPubSub:
         finally:
             pub.close()
         # nothing listens now: the reconnect backoff is long, close() is not
-        sub = Subscriber(pub.endpoint, "", reconnect_delay=30.0, max_reconnect_delay=30.0)
+        sub = Subscriber(pub.endpoint, "", Inbox(), reconnect_delay=30.0, max_reconnect_delay=30.0)
         time.sleep(0.2)
         t0 = time.monotonic()
         sub.close()
@@ -622,10 +666,11 @@ class TestIpcTransport:
         endpoint = Endpoint("ipc", path=str(tmp_path / "bus.sock"))
         pub = Publisher(endpoint)
         try:
-            sub = Subscriber(endpoint, "")
+            inbox = Inbox()
+            sub = Subscriber(endpoint, "", inbox)
             assert wait_until(lambda: pub.subscriber_count == 1)
             pub.publish(Frame("s/p", b"over-ipc"))
-            assert sub.get(timeout=5.0) == Frame("s/p", b"over-ipc")
+            assert inbox.get(timeout=5.0) == Frame("s/p", b"over-ipc")
             sub.close()
         finally:
             pub.close()

@@ -54,7 +54,7 @@ def test_ingest_counts_malformed_then_ingests_and_close_ends_threads(tmp_path, m
         threads = server._threads + [server._subscriber._thread]
         server.close()
         pub.close()
-    assert len(threads) == 4  # HTTP, ingest, periodic, subscriber reader
+    assert len(threads) == 3  # HTTP, periodic, and the subscriber's reader, which ingests
     assert not [t.name for t in threads if t.is_alive()]
 
 
@@ -79,6 +79,26 @@ def test_ingest_error_is_counted_and_ingest_goes_on(tmp_path, make):
             pub.publish(Frame("s/p", encode_measurement(Measurement(ProbeId("s", "p"), t, 40.0))))
         assert wait_until(lambda: counts() == (0, 1)), counts()
         assert server.ingest_errors == 1
+    finally:
+        server.close()
+        pub.close()
+
+
+@pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])
+def test_far_future_measurements_are_skipped_and_counted(tmp_path, make):
+    # one sample from a clock far ahead must not make the on-time ones late
+    server, counts = make(tmp_path)
+    pub = Publisher(Endpoint("tcp", host="127.0.0.1", port=0))
+    now = time.time()
+    stamps = [now + 1e6] + [now - 10 + k for k in range(10)] + [1e300]
+    try:
+        server.start(subscribe=pub.endpoint)
+        assert wait_until(lambda: pub.subscriber_count == 1)
+        for t in stamps:
+            pub.publish(Frame("s/p", encode_measurement(Measurement(ProbeId("s", "p"), t, 40.0))))
+        assert wait_until(lambda: server.future_skipped == 2), server.future_skipped
+        assert wait_until(lambda: counts() == (0, 10)), counts()
+        assert server.ingest_errors == 0
     finally:
         server.close()
         pub.close()

@@ -35,6 +35,7 @@ from wattbus.model import Measurement, ProbeId, decode_measurement, encode_measu
 from wattbus import signing
 from wattbus.signing import sign, verify
 
+from conftest import Inbox
 from test_bus import loopback, wait_until
 
 
@@ -383,23 +384,24 @@ def pub():
 
 
 @pytest.fixture()
-def sub(pub):
-    """A subscriber to every topic of ``pub``, connected before the test runs."""
-    subscriber = Subscriber(pub.endpoint, "")
+def inbox(pub):
+    """Frames from a subscriber to every topic of ``pub``, connected before the test runs."""
+    frames = Inbox()
+    subscriber = Subscriber(pub.endpoint, "", frames)
     assert wait_until(lambda: pub.subscriber_count == 1)
-    yield subscriber
+    yield frames
     subscriber.close()
 
 
 class TestDriverManager:
-    def test_fixed_ticks_and_topic_payload_agreement(self, pub, sub):
+    def test_fixed_ticks_and_topic_payload_agreement(self, pub, inbox):
         manager = DriverManager(ipmi_specs(3), pub, max_ticks=5,
                                 watchdog_period_s=60.0, stagger=False)
         manager.start()
         assert manager.wait_finished(timeout=10.0)
         manager.stop()
         frames = []
-        while (f := sub.get(timeout=0.2)) is not None:
+        while (f := inbox.get(timeout=0.2)) is not None:
             frames.append(f)
         assert len(frames) == 15
         for f in frames:
@@ -436,7 +438,8 @@ class TestDriverManager:
                 super().publish(f)
 
         pub = Recording(loopback())
-        sub = Subscriber(pub.endpoint, "")
+        inbox = Inbox()
+        sub = Subscriber(pub.endpoint, "", inbox)
         try:
             assert wait_until(lambda: pub.subscriber_count == 1)
             manager = DriverManager(ipmi_specs(100), pub, max_ticks=3,
@@ -447,12 +450,12 @@ class TestDriverManager:
             assert pub.publish_calls == 300
             assert pub.outside == 0
             assert pub.batches < 100  # one per wake, not one per tick
-            assert sum(1 for _ in iter(lambda: sub.get(timeout=0.2), None)) == 300
+            assert sum(1 for _ in iter(lambda: inbox.get(timeout=0.2), None)) == 300
         finally:
             sub.close()
             pub.close(drain_timeout=0)
 
-    def test_signing_integration(self, pub, sub):
+    def test_signing_integration(self, pub, inbox):
         secret = b"unit-test-secret-16"
         manager = DriverManager(ipmi_specs(2), pub, secret=secret,
                                 max_ticks=3, watchdog_period_s=60.0)
@@ -460,13 +463,13 @@ class TestDriverManager:
         assert manager.wait_finished(timeout=10.0)
         manager.stop()
         count = 0
-        while (f := sub.get(timeout=0.2)) is not None:
+        while (f := inbox.get(timeout=0.2)) is not None:
             assert verify(decode_measurement(f.payload), secret)
             count += 1
         assert count == 6
 
     def test_signed_tick_uses_neither_json_dumps_nor_dataclass_replace(
-            self, monkeypatch, pub, sub):
+            self, monkeypatch, pub, inbox):
         # the per-message path builds its bytes and signed copy by hand;
         # patch every binding of the two, from-imports in wattbus included
         def forbidden(*args, **kwargs):
@@ -502,11 +505,11 @@ class TestDriverManager:
         assert manager.wait_finished(timeout=10.0)
         manager.stop()
         assert counts == {"hmac.new": 1, "validations": 15}
-        frames = list(iter(lambda: sub.get(timeout=0.2), None))
+        frames = list(iter(lambda: inbox.get(timeout=0.2), None))
         assert len(frames) == 15
         assert all(verify(decode_measurement(f.payload), secret) for f in frames)
 
-    def test_mean_spacing_within_five_percent(self, pub, sub):
+    def test_mean_spacing_within_five_percent(self, pub, inbox):
         interval = 0.1
         manager = DriverManager(ipmi_specs(1, interval=interval), pub,
                                 max_ticks=30, watchdog_period_s=60.0,
@@ -515,7 +518,7 @@ class TestDriverManager:
         assert manager.wait_finished(timeout=10.0)
         manager.stop()
         stamps = []
-        while (f := sub.get(timeout=0.2)) is not None:
+        while (f := inbox.get(timeout=0.2)) is not None:
             stamps.append(decode_measurement(f.payload).timestamp)
         deltas = [b - a for a, b in zip(stamps, stamps[1:])]
         mean = sum(deltas) / len(deltas)
@@ -744,7 +747,7 @@ class TestDriverManager:
         assert not manager._scheduler.is_alive()
         assert manager.statuses() == [] and pub.publish_calls == 0
 
-    def test_mixed_intervals_publish_every_tick_none_early(self, pub, sub):
+    def test_mixed_intervals_publish_every_tick_none_early(self, pub, inbox):
         reads, waits = [], [0]
         specs = ipmi_specs(10, interval=1.0, name="slow") + ipmi_specs(30, interval=0.3)
         intervals = {s.topic: s.interval_s for s in specs}
@@ -756,7 +759,7 @@ class TestDriverManager:
         finally:
             manager.stop()
         assert [s.published for s in manager.statuses()] == [3] * len(specs)
-        assert sum(1 for _ in iter(lambda: sub.get(timeout=0.2), None)) == 3 * len(specs)
+        assert sum(1 for _ in iter(lambda: inbox.get(timeout=0.2), None)) == 3 * len(specs)
         assert len(reads) == 3 * len(specs)
         assert all(r.t >= r.made + r.k * intervals[r.topic] for r in reads)
 

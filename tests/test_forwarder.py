@@ -1,10 +1,13 @@
 """Relay transparency, ordering through chains, and filter composition."""
 
+import threading
+
 import pytest
 
 from wattbus.bus import Endpoint, Frame, Publisher, Subscriber, frame_encode
 from wattbus.forwarder import Forwarder, ForwarderConfig
 
+from conftest import Inbox
 from test_bus import loopback, wait_until
 
 
@@ -38,8 +41,10 @@ def test_byte_transparency():
         upstreams=((pub.endpoint, ""),),
         downstream_bind=loopback()))
     try:
-        direct = Subscriber(pub.endpoint, "")
-        relayed = Subscriber(fwd.publisher.endpoint, "")
+        direct_inbox = Inbox()
+        direct = Subscriber(pub.endpoint, "", direct_inbox)
+        relayed_inbox = Inbox()
+        relayed = Subscriber(fwd.publisher.endpoint, "", relayed_inbox)
         assert wait_until(lambda: pub.subscriber_count == 2)
         assert wait_until(lambda: fwd.publisher.subscriber_count == 1)
 
@@ -47,8 +52,8 @@ def test_byte_transparency():
         for f in frames:
             pub.publish(f)
 
-        got_direct = [direct.get(timeout=5.0) for _ in frames]
-        got_relayed = [relayed.get(timeout=5.0) for _ in frames]
+        got_direct = [direct_inbox.get(timeout=5.0) for _ in frames]
+        got_relayed = [relayed_inbox.get(timeout=5.0) for _ in frames]
         assert got_direct == frames
         assert got_relayed == frames
         # identical bytes on the wire either way
@@ -66,7 +71,8 @@ def test_ten_thousand_frames_relay_in_order_and_byte_identical():
     fwd = Forwarder(ForwarderConfig(
         upstreams=((pub.endpoint, ""),), downstream_bind=loopback()))
     try:
-        relayed = Subscriber(fwd.publisher.endpoint, "")
+        relayed_inbox = Inbox()
+        relayed = Subscriber(fwd.publisher.endpoint, "", relayed_inbox)
         assert wait_until(lambda: pub.subscriber_count == 1)
         assert wait_until(lambda: fwd.publisher.subscriber_count == 1)
         frames = [Frame(f"site{i % 7}/p{i % 13}", b'{"seq":%d,"w":%d.5}' % (i, i % 400))
@@ -75,7 +81,7 @@ def test_ten_thousand_frames_relay_in_order_and_byte_identical():
             pub.publish(f)
         got = []
         while len(got) < len(frames):
-            f = relayed.get(timeout=5.0)
+            f = relayed_inbox.get(timeout=5.0)
             assert f is not None, f"relay stalled at {len(got)}"
             got.append(f)
         assert [frame_encode(f) for f in got] == [frame_encode(f) for f in frames]
@@ -98,7 +104,8 @@ def test_chain_of_three_preserves_order():
             forwarders.append(fwd)
             upstream = fwd.publisher.endpoint
 
-        consumer = Subscriber(upstream, "")
+        inbox = Inbox()
+        consumer = Subscriber(upstream, "", inbox)
         assert wait_until(lambda: forwarders[-1].publisher.subscriber_count == 1)
         # every hop must be wired up before publishing starts
         assert wait_until(lambda: pub.subscriber_count == 1)
@@ -110,7 +117,7 @@ def test_chain_of_three_preserves_order():
 
         received = []
         while len(received) < 1000:
-            f = consumer.get(timeout=5.0)
+            f = inbox.get(timeout=5.0)
             assert f is not None, f"chain stalled at {len(received)}"
             received.append(int(f.payload))
         assert received == list(range(1000))
@@ -127,7 +134,8 @@ def test_upstream_prefix_composes():
         upstreams=((pub.endpoint, "siteA/"),),
         downstream_bind=loopback()))
     try:
-        consumer = Subscriber(fwd.publisher.endpoint, "")
+        inbox = Inbox()
+        consumer = Subscriber(fwd.publisher.endpoint, "", inbox)
         assert wait_until(lambda: pub.subscriber_count == 1)
         assert wait_until(lambda: fwd.publisher.subscriber_count == 1)
 
@@ -137,7 +145,7 @@ def test_upstream_prefix_composes():
         pub.drain()
 
         seen = []
-        while (f := consumer.get(timeout=0.5)) is not None:
+        while (f := inbox.get(timeout=0.5)) is not None:
             seen.append(f)
         assert len(seen) == 30
         assert all(f.topic == "siteA/p" for f in seen)
@@ -145,6 +153,25 @@ def test_upstream_prefix_composes():
     finally:
         fwd.close()
         pub.close()
+
+
+def test_one_thread_per_upstream():
+    # each upstream's reader relays what it reads: no pump thread beside it
+    ups = [Publisher(loopback()) for _ in range(2)]
+    before = set(threading.enumerate())
+    fwd = Forwarder(ForwarderConfig(
+        upstreams=tuple((up.endpoint, "") for up in ups), downstream_bind=loopback()))
+    try:
+        assert all(wait_until(lambda: up.subscriber_count == 1) for up in ups)
+        # the downstream publisher's bus loop, then one reader per upstream
+        assert len(set(threading.enumerate()) - before) == 1 + len(ups)
+        for i, up in enumerate(ups):
+            up.publish(Frame(f"s/p{i}", b"x"))
+        assert wait_until(lambda: fwd.frames_forwarded == len(ups))
+    finally:
+        fwd.close()
+        for up in ups:
+            up.close()
 
 
 def test_forwarder_is_lazy_downstream():
