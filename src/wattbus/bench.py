@@ -70,6 +70,10 @@ class Scenario:
             raise ValueError(f"unknown fleet {self.fleet!r} (known: {sorted(FLEETS)})")
         if not (0 < self.interval_s < math.inf and 0 < self.duration_s < math.inf):
             raise ValueError("interval_s and duration_s must be positive and finite")
+        refresh_s = PROFILES[FLEETS[self.fleet]["profile"]].refresh_period_s
+        if self.interval_s < refresh_s:
+            raise ValueError(f"interval_s {self.interval_s:g} is below the {self.fleet} "
+                             f"fleet's refresh period {refresh_s:g}s")
         if self.drivers is not None and self.drivers < 1:
             raise ValueError("drivers must be positive")
 
@@ -348,19 +352,16 @@ def run_sweep(intervals, fleet: str = "ipmi", duration_s: float = 60.0,
               signing: bool = False, drivers: int | None = None,
               transport: str = "tcp") -> list[ScenarioResult]:
     """One scenario per interval (the measurement-interval experiment)."""
-    results = []
-    for interval in intervals:
-        scenario = Scenario(
-            name=f"{fleet} sweep {interval:g}s",
-            fleet=fleet,
-            signing=signing,
-            interval_s=float(interval),
-            duration_s=duration_s,
-            drivers=drivers,
-        )
-        log.info("sweep: interval %.3gs", interval)
-        results.append(run_scenario(scenario, transport=transport))
-    return results
+    return [run_scenario(s, transport=transport)
+            for s in sweep_scenarios(intervals, fleet, duration_s, signing, drivers)]
+
+
+def sweep_scenarios(intervals, fleet: str = "ipmi", duration_s: float = 60.0,
+                    signing: bool = False, drivers: int | None = None) -> list[Scenario]:
+    """Every scenario of a sweep, built (and so checked) before any runs."""
+    return [Scenario(name=f"{fleet} sweep {interval:g}s", fleet=fleet, signing=signing,
+                     interval_s=float(interval), duration_s=duration_s, drivers=drivers)
+            for interval in intervals]
 
 
 def scenario_from_name(name: str) -> Scenario:

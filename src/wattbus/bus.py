@@ -20,7 +20,8 @@ which keeps idle probes off the network entirely.
 ``publish`` writes inline with a non-blocking ``send`` from the caller's
 thread, once per subscriber per outermost ``Publisher.batch()``.  Each
 connection has a bounded queue for what its kernel buffer does not take;
-one bus loop thread writes that backlog, accepts, handshakes and notices
+one bus loop thread writes that backlog, accepts, handshakes (closing a
+connection that stays silent for ``HANDSHAKE_TIMEOUT_S``) and notices
 closed subscribers.  A slow consumer overflows only its own queue: the
 oldest frames not yet offered to the kernel are dropped (counted in
 ``drops``), and other subscribers are unaffected.  A ``Subscriber``
@@ -54,7 +55,11 @@ _SEND_BUFFER = 256 * 1024
 
 HANDSHAKE_TOPIC = "SUB"
 
-PUBLISHER_QUEUE_FRAMES = 10_000  # default bound on the frames a connection holds back
+PUBLISHER_QUEUE_FRAMES = 10_000  # bound on the frames a connection holds back
+HANDSHAKE_TIMEOUT_S = 5.0  # a connection silent this long after connect is closed
+RECONNECT_DELAY_S = 0.05  # a subscriber's first backoff; it doubles per failure
+MAX_RECONNECT_DELAY_S = 2.0
+RETRIES_BEFORE_WARNING = 10  # failed connects in a row before one WARNING
 
 
 class FrameError(ValueError):
@@ -235,15 +240,12 @@ class Publisher:
 
     ``publish`` may be called from many producer threads at once; it sends
     from the caller's thread, without blocking.  One bus loop thread
-    accepts connections, reads each handshake within ``handshake_timeout``,
+    accepts connections, reads each handshake within ``HANDSHAKE_TIMEOUT_S``,
     removes connections that close, and writes for connections whose
     kernel buffer filled, so one slow consumer cannot stall the others.
     """
 
-    def __init__(self, endpoint: Endpoint, queue_size: int = PUBLISHER_QUEUE_FRAMES,
-                 handshake_timeout: float = 5.0):
-        self._queue_size = queue_size
-        self._handshake_timeout = handshake_timeout
+    def __init__(self, endpoint: Endpoint):
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)  # notified when backlogs empty
         self._conns: list[_SubscriberConn] = []  # handshaken, in the lock
@@ -307,9 +309,9 @@ class Publisher:
             self.frames_delivered += len(targets)
             data = frame_encode(f)
             for conn in targets:
-                if len(conn.queue) >= self._queue_size:
+                if len(conn.queue) >= PUBLISHER_QUEUE_FRAMES:
                     self._send((conn,))  # a batch drops nothing the socket takes
-                    if len(conn.queue) >= self._queue_size:
+                    if len(conn.queue) >= PUBLISHER_QUEUE_FRAMES:
                         conn.queue.popleft()
                         self.drops += 1
                 conn.queue.append(data)
@@ -381,7 +383,7 @@ class Publisher:
                 log.warning("accept failed: %s", exc)
                 return
             sock.setblocking(False)
-            conn = _SubscriberConn(sock, time.monotonic() + self._handshake_timeout)
+            conn = _SubscriberConn(sock, time.monotonic() + HANDSHAKE_TIMEOUT_S)
             self._handshakes.add(conn)
             self._selector.register(sock, selectors.EVENT_READ, conn)
 
@@ -486,24 +488,17 @@ class Subscriber:
 
     Reconnects transparently with exponential backoff after connection
     loss; frames published while disconnected are lost, never replayed.
-    After ``retries_before_error`` consecutive failed connection attempts
-    an ``unreachable`` event is emitted (the stream stays alive and keeps
-    retrying).  Once ``close()`` returns, ``on_frames`` is not called
-    again; ``on_frames`` may call ``close()`` itself.
+    It logs each connect and disconnect at INFO, and one WARNING naming
+    the endpoint once ``RETRIES_BEFORE_WARNING`` connection attempts in a
+    row have failed (it keeps retrying).  Once ``close()`` returns,
+    ``on_frames`` is not called again; ``on_frames`` may call ``close()``
+    itself.
     """
 
-    def __init__(self, endpoint: Endpoint, prefix: str, on_frames,
-                 on_event=None,
-                 reconnect_delay: float = 0.05,
-                 max_reconnect_delay: float = 2.0,
-                 retries_before_error: int = 10):
+    def __init__(self, endpoint: Endpoint, prefix: str, on_frames):
         self.endpoint = endpoint
         self.prefix = prefix
         self._on_frames = on_frames
-        self._on_event = on_event
-        self._reconnect_delay = reconnect_delay
-        self._max_reconnect_delay = max_reconnect_delay
-        self._retries_before_error = retries_before_error
         self._closed = threading.Event()
         self._sock: socket.socket | None = None
         self.frames_received = 0
@@ -512,15 +507,8 @@ class Subscriber:
             target=self._run, name=f"sub-{endpoint}", daemon=True)
         self._thread.start()
 
-    def _emit(self, event: str, detail: str = "") -> None:
-        if self._on_event is not None:
-            try:
-                self._on_event(event, detail)
-            except Exception:  # callbacks must not kill the stream
-                log.exception("subscriber event callback failed")
-
     def _run(self) -> None:
-        delay = self._reconnect_delay
+        delay = RECONNECT_DELAY_S
         failures = 0
         first = True
         while not self._closed.is_set():
@@ -537,24 +525,24 @@ class Subscriber:
                 if sock is not None:
                     sock.close()
                 failures += 1
-                if failures == self._retries_before_error:
-                    self._emit("unreachable", str(exc))
+                if failures == RETRIES_BEFORE_WARNING:
+                    log.warning("publisher %s unreachable, retrying: %s", self.endpoint, exc)
                 if self._closed.wait(delay):  # the backoff ends early on close()
                     return
-                delay = min(delay * 2, self._max_reconnect_delay)
+                delay = min(delay * 2, MAX_RECONNECT_DELAY_S)
                 continue
             failures = 0
-            delay = self._reconnect_delay
+            delay = RECONNECT_DELAY_S
             if not first:
                 self.reconnects += 1
             first = False
             self._sock = sock
-            self._emit("connected", str(self.endpoint))
+            log.info("subscribed to %s", self.endpoint)
             self._read_until_error(sock)
             self._sock = None
             sock.close()
             if not self._closed.is_set():
-                self._emit("disconnected", str(self.endpoint))
+                log.info("disconnected from %s", self.endpoint)
 
     def _read_until_error(self, sock: socket.socket) -> None:
         buf = _FrameBuffer()

@@ -88,18 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_bench(args) -> int:
     if args.sweep:
         try:
-            intervals = [float(v) for v in args.sweep.split(",") if v.strip()]
-        except ValueError:
-            print(f"bad --sweep value: {args.sweep}", file=sys.stderr)
+            scenarios = bench.sweep_scenarios(
+                [float(v) for v in args.sweep.split(",") if v.strip()],
+                fleet=args.fleet,
+                duration_s=args.duration if args.duration else 60.0,
+                signing=args.signing,
+                drivers=args.drivers,
+            )
+        except ValueError as exc:
+            print(f"bad --sweep value: {args.sweep}: {exc}", file=sys.stderr)
             return 2
-        results = bench.run_sweep(
-            intervals,
-            fleet=args.fleet,
-            duration_s=args.duration if args.duration else 60.0,
-            signing=args.signing,
-            drivers=args.drivers,
-            transport=args.transport,
-        )
     else:
         try:
             if os.path.exists(args.scenario):
@@ -116,7 +114,8 @@ def _run_bench(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"bad --scenario: {exc}", file=sys.stderr)
             return 2
-        results = [bench.run_scenario(scenario, transport=args.transport)]
+        scenarios = [scenario]
+    results = [bench.run_scenario(s, transport=args.transport) for s in scenarios]
     bench.write_results(results, args.out)
     for r in results:
         status = "ok" if r.valid and r.drops == 0 else f"drops={r.drops} valid={r.valid}"

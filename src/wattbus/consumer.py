@@ -1,18 +1,16 @@
 """Skeleton shared by the bus consumer daemons (REST API, viz).
 
 A consumer plugin is a state fed from the bus, an HTTP handler that reads
-it, and one periodic task.  ``ConsumerServer`` owns everything else: the
-HTTP server, the optional bus ``Subscriber``, and three threads: HTTP,
-periodic, and the subscriber's reader, which decodes and ingests each
-read's frames before it reads again.  Undecodable payloads are counted on
-the state (``count_malformed``) and skipped.  A measurement dated more
-than ``MAX_AHEAD_S`` past this host's clock is counted in
-``future_skipped`` and skipped, so one bad clock cannot make every later
-on-time sample of its probe look late.  Every other payload goes to
-``state.ingest``.  An exception from ``state.ingest`` is logged and counted
-in ``ingest_errors``, and ingest goes on with the next frame; one from the
-periodic task is logged and counted in ``periodic_errors``, and the task
-runs again next period.
+it, and one periodic task.  ``ConsumerServer`` runs the rest on two
+threads: the HTTP server, whose accept loop also runs the periodic task
+when it is due (so a viz flush delays new connections, but neither
+requests on open ones nor ingest), and the bus ``Subscriber``'s reader,
+which decodes and ingests.  Undecodable payloads (``count_malformed`` on
+the state) and measurements dated more than ``MAX_AHEAD_S`` ahead of this
+host's clock (``future_skipped``) are counted and skipped.  An exception
+from ``state.ingest``, from a request or from the periodic task is
+logged, counted in ``ingest_errors``, ``http_errors`` or
+``periodic_errors``, and the work goes on.
 
 Only consumer daemons import this module: it pulls in ``http.server``,
 which the driver process has no use for.
@@ -22,22 +20,25 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from wattbus.bus import Endpoint, Subscriber
-from wattbus.model import DecodeError, Measurement
+from wattbus.model import DecodeError
 
 log = logging.getLogger(__name__)
 
 MAX_AHEAD_S = 300.0  # how far past the local clock a measurement may be dated
+HTTP_IDLE_TIMEOUT_S = 30.0  # a connection silent this long is closed, freeing its thread
 
 
 class ConsumerHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 request handler base; ``self.server.consumer`` is the server."""
 
     protocol_version = "HTTP/1.1"
+    timeout = HTTP_IDLE_TIMEOUT_S
 
     def log_message(self, fmt, *args):  # route through logging, not stderr
         log.debug("%s %s", self.address_string(), fmt % args)
@@ -53,12 +54,36 @@ class ConsumerHandler(BaseHTTPRequestHandler):
         self._reply(code, json.dumps(obj).encode("utf-8"), "application/json")
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """The HTTP front, whose accept loop also runs the consumer's periodic task."""
+
+    daemon_threads = True
+    consumer: ConsumerServer
+    due = math.inf  # monotonic time of the next periodic run; start() sets it
+    _error_lock = threading.Lock()  # handle_error runs on request threads
+
+    def service_actions(self) -> None:  # serve_forever calls this every poll
+        if time.monotonic() >= self.due:
+            try:
+                self.consumer.periodic()
+            except Exception:  # a full disk must not end flushing or eviction for good
+                self.consumer.periodic_errors += 1
+                log.exception("%s periodic task failed", self.consumer.name)
+            self.due = time.monotonic() + self.consumer._period_s
+
+    def handle_error(self, request, client_address) -> None:
+        with self._error_lock:
+            self.consumer.http_errors += 1
+        log.debug("request from %s failed", client_address, exc_info=True)
+
+
 class ConsumerServer:
     """HTTP front plus optional bus ingest and one periodic task.
 
-    Subclasses set ``handler`` and ``name`` and implement ``decode`` and
-    ``periodic``.  ``state.ingest`` is looked up for every measurement, so
-    it may be replaced on a running server.
+    Subclasses set ``handler`` and ``name`` and implement ``decode(payload)``,
+    which returns a ``Measurement`` or raises ``DecodeError``, and
+    ``periodic()``, run every ``period_s`` seconds once started.
+    ``state.ingest`` is looked up per measurement, so it may be replaced.
     """
 
     handler: type[ConsumerHandler]
@@ -67,44 +92,28 @@ class ConsumerServer:
     def __init__(self, state, listen: tuple[str, int], period_s: float):
         self.state = state
         self._period_s = period_s
-        self._httpd = ThreadingHTTPServer(listen, self.handler)
-        self._httpd.daemon_threads = True
-        self._httpd.consumer = self  # type: ignore[attr-defined]
-        self._threads: list[threading.Thread] = []
+        self._httpd = _HTTPServer(listen, self.handler)
+        self._httpd.consumer = self
+        self._http_thread = threading.Thread(  # reads period_s when started
+            target=lambda: self._httpd.serve_forever(min(self._period_s, 0.5)),
+            name=f"{self.name}-http", daemon=True)
         self._subscriber: Subscriber | None = None
-        self._stop = threading.Event()
         self.ingest_errors = 0  # state.ingest calls that raised
         self.future_skipped = 0  # measurements dated more than MAX_AHEAD_S ahead
         self.periodic_errors = 0  # periodic calls that raised
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._httpd.server_address[:2]
+        self.http_errors = 0  # requests that raised, such as on a client reset
 
     @property
     def url(self) -> str:
-        host, port = self.address
+        host, port = self._httpd.server_address[:2]
         return f"http://{host}:{port}"
 
-    def decode(self, payload: bytes) -> Measurement:
-        """Parse one bus payload; raise ``DecodeError`` if it is malformed."""
-        raise NotImplementedError
-
-    def periodic(self) -> None:
-        """Run every ``period_s`` seconds while the server is started."""
-        raise NotImplementedError
-
     def start(self, subscribe: Endpoint | None = None, prefix: str = "") -> None:
-        self._spawn(self._httpd.serve_forever, "http")
+        self._httpd.due = time.monotonic() + self._period_s
+        self._http_thread.start()
         if subscribe is not None:
             self._subscriber = Subscriber(subscribe, prefix, self._ingest)
-        self._spawn(self._periodic_loop, "periodic")
         log.info("%s listening on %s", self.name, self.url)
-
-    def _spawn(self, target, role: str) -> None:
-        t = threading.Thread(target=target, name=f"{self.name}-{role}", daemon=True)
-        t.start()
-        self._threads.append(t)
 
     def _ingest(self, frames) -> None:
         """Decode and ingest one read's frames, on the subscriber's thread."""
@@ -127,20 +136,10 @@ class ConsumerServer:
                 self.ingest_errors += 1
                 log.exception("ingest failed on %r", frame.topic)
 
-    def _periodic_loop(self) -> None:
-        while not self._stop.wait(self._period_s):
-            try:
-                self.periodic()
-            except Exception:  # a full disk must not end flushing or eviction for good
-                self.periodic_errors += 1
-                log.exception("%s periodic task failed", self.name)
-
     def close(self) -> None:
-        self._stop.set()
         if self._subscriber is not None:
             self._subscriber.close()
-        if self._threads:  # shutdown() waits for a serve_forever that start() runs
+        if self._http_thread.is_alive():  # shutdown() waits for serve_forever to return
             self._httpd.shutdown()
+            self._http_thread.join(timeout=5.0)
         self._httpd.server_close()
-        for t in self._threads:
-            t.join(timeout=5.0)

@@ -10,8 +10,10 @@ consumer duty.
 
 Multiple upstreams are merged onto one downstream publisher.  Each
 upstream has one thread, its subscriber's reader, which re-publishes what
-each read brought in one batch before it reads again.  Per-upstream frame
-order is preserved; interleaving between upstreams is unspecified.
+each read brought in one batch before it reads again.  The subscriber
+logs its own connects, disconnects and an unreachable upstream.
+Per-upstream frame order is preserved; interleaving between upstreams is
+unspecified.
 There is no deduplication, so topologies where the same frame can reach a
 forwarder twice (diamonds) must be avoided by the operator.
 """
@@ -50,19 +52,8 @@ class Forwarder:
         self.publisher = Publisher(cfg.downstream_bind)
         self._count_lock = threading.Lock()  # one reader thread per upstream counts
         self.frames_forwarded = 0
-        self._subscribers = [
-            Subscriber(endpoint, prefix, self._relay,
-                       on_event=self._upstream_event(endpoint))
-            for endpoint, prefix in cfg.upstreams]
-
-    @staticmethod
-    def _upstream_event(endpoint: Endpoint):
-        def handler(event: str, detail: str):
-            if event == "unreachable":
-                log.warning("upstream %s unreachable, retrying: %s", endpoint, detail)
-            else:
-                log.info("upstream %s: %s", endpoint, event)
-        return handler
+        self._subscribers = [Subscriber(endpoint, prefix, self._relay)
+                             for endpoint, prefix in cfg.upstreams]
 
     def _relay(self, frames) -> None:
         with self.publisher.batch():  # one send per downstream subscriber per read

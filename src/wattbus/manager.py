@@ -52,14 +52,15 @@ def poll_once(spec: DriverSpec, device, now: float | None = None, *,
 
     Pull devices answer with one reading per outlet stamped at poll time;
     push devices hand over whatever accumulated since the last drain.
-    ``probes`` is ``spec.outlet_probes()``; a caller that polls the same
-    spec every tick passes it, built once, instead of having
-    ``spec.outlet_probe`` build a probe id per reading.  A reading for an
+    ``probes`` defaults to ``spec.outlet_probes()``; a caller that polls
+    the same spec every tick passes it, built once.  A reading for an
     outlet the spec does not have raises ``DriverError``: it cannot be
     attributed to any probe.
     """
     if now is None:
         now = time.time()
+    if probes is None:
+        probes = spec.outlet_probes()
     try:
         readings = device.read(now)
     except DeviceTimeout as exc:
@@ -70,7 +71,7 @@ def poll_once(spec: DriverSpec, device, now: float | None = None, *,
         if not 0 < r.outlet <= outlets:
             raise DriverError(spec.topic, f"reading for outlet {r.outlet} of {outlets}")
         measurements.append(Measurement(
-            probe=spec.outlet_probe(r.outlet) if probes is None else probes[r.outlet - 1],
+            probe=probes[r.outlet - 1],
             timestamp=r.timestamp,
             watts=quantize(r.watts, spec.profile.precision_w),
         ))

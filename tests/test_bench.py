@@ -89,6 +89,13 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario("x", "ipmi", False, 0.0, 1.0)
 
+    @pytest.mark.parametrize("fleet", ["ipmi", "pdu"])
+    def test_interval_below_the_refresh_period_is_refused(self, fleet):
+        with pytest.raises(ValueError, match="refresh period 0.05s"):
+            Scenario("x", fleet, False, 0.033, 1.0)
+        for interval in (0.05, 0.2, 1.0):  # 0.2 and 1.0 s: the perfbench workloads
+            Scenario("x", fleet, False, interval, 1.0)
+
 
 class TestRunScenario:
     def test_smoke_unsigned(self, bench_tmp):

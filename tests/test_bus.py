@@ -2,6 +2,7 @@
 
 import errno
 import json
+import logging
 import os
 import socket
 import sys
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import wattbus.bus as bus
 from wattbus.bus import (
     MAX_FRAME,
     Endpoint,
@@ -249,12 +251,12 @@ class TestTcpPubSub:
         finally:
             pub.close()
 
-    def test_reconnect_after_publisher_restart(self):
+    def test_reconnect_after_publisher_restart(self, caplog):
+        caplog.set_level(logging.INFO, logger="wattbus.bus")
         pub = Publisher(loopback())
         port = pub.endpoint.port
-        events = []
         inbox = Inbox()
-        sub = Subscriber(pub.endpoint, "", inbox, on_event=lambda e, d: events.append(e))
+        sub = Subscriber(pub.endpoint, "", inbox)
         assert wait_until(lambda: pub.subscriber_count == 1)
         for i in range(5):
             pub.publish(Frame("s/p", b"%d" % i))
@@ -273,34 +275,43 @@ class TestTcpPubSub:
                 break
             got.append(int(f.payload))
         assert got == list(range(10))  # all ten, none duplicated
-        assert "disconnected" in events
+        events = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "wattbus.bus"]
+        assert (logging.INFO, f"subscribed to {sub.endpoint}") in events
+        assert (logging.INFO, f"disconnected from {sub.endpoint}") in events
         assert sub.reconnects >= 1
         sub.close()
         pub2.close()
 
-    def test_unreachable_endpoint_emits_error_event_and_recovers(self):
+    def test_unreachable_endpoint_emits_error_event_and_recovers(self, monkeypatch, caplog):
+        monkeypatch.setattr(bus, "RECONNECT_DELAY_S", 0.02)
+        monkeypatch.setattr(bus, "RETRIES_BEFORE_WARNING", 3)
         probe_sock = socket.socket()
         probe_sock.bind(("127.0.0.1", 0))
         port = probe_sock.getsockname()[1]
         probe_sock.close()
 
-        events = []
+        endpoint = Endpoint("tcp", host="127.0.0.1", port=port)
         inbox = Inbox()
-        sub = Subscriber(Endpoint("tcp", host="127.0.0.1", port=port), "", inbox,
-                         on_event=lambda e, d: events.append(e),
-                         reconnect_delay=0.02, retries_before_error=3)
-        assert wait_until(lambda: "unreachable" in events, timeout=10.0)
+        sub = Subscriber(endpoint, "", inbox)
 
-        pub = Publisher(Endpoint("tcp", host="127.0.0.1", port=port))
+        def warnings():
+            return [r for r in caplog.records
+                    if r.levelno == logging.WARNING and str(endpoint) in r.getMessage()]
+
+        assert wait_until(warnings, timeout=10.0)
+
+        pub = Publisher(endpoint)
         assert wait_until(lambda: pub.subscriber_count == 1, timeout=10.0)
         pub.publish(Frame("s/p", b"alive"))
         assert inbox.get(timeout=5.0) == Frame("s/p", b"alive")
+        assert len(warnings()) == 1  # one per streak of failed attempts
         sub.close()
         pub.close()
 
     def test_failed_first_socket_is_retried(self, monkeypatch):
         # making the very first socket can fail, say with EMFILE: that is
         # one failed attempt, and the backoff retries it
+        monkeypatch.setattr(bus, "RECONNECT_DELAY_S", 0.02)
         pub = Publisher(loopback())
         create = Endpoint._create_socket
         calls = []
@@ -313,7 +324,7 @@ class TestTcpPubSub:
 
         monkeypatch.setattr(Endpoint, "_create_socket", fail_once)
         inbox = Inbox()
-        sub = Subscriber(pub.endpoint, "", inbox, reconnect_delay=0.02)
+        sub = Subscriber(pub.endpoint, "", inbox)
         try:
             assert wait_until(lambda: pub.subscriber_count == 1)
             pub.publish(Frame("s/p", b"after EMFILE"))
@@ -372,11 +383,12 @@ class TestTcpPubSub:
         finally:
             pub.close()
 
-    def test_slow_subscriber_drops_do_not_affect_others(self):
+    def test_slow_subscriber_drops_do_not_affect_others(self, monkeypatch):
         # a drop-prone connection: small queue, big frames, a client that
         # handshakes and then never reads its socket; paced publishing so
         # only that connection can fall behind
-        pub = Publisher(loopback(), queue_size=50)
+        monkeypatch.setattr(bus, "PUBLISHER_QUEUE_FRAMES", 50)
+        pub = Publisher(loopback())
         try:
             stuck = socket.create_connection(("127.0.0.1", pub.endpoint.port))
             stuck.sendall(frame_encode(Frame("SUB", b"")))
@@ -401,11 +413,12 @@ class TestTcpPubSub:
         finally:
             pub.close(drain_timeout=0.5)  # the stuck conn can never drain
 
-    def test_stalled_subscriber_is_bounded_and_pushes_back(self):
+    def test_stalled_subscriber_is_bounded_and_pushes_back(self, monkeypatch):
         # a consumer that blocks in on_frames holds at most one recv of
         # frames; the overflow lands in the publisher's queue, where it is
         # dropped and counted
-        pub = Publisher(loopback(), queue_size=1_000)
+        monkeypatch.setattr(bus, "PUBLISHER_QUEUE_FRAMES", 1_000)
+        pub = Publisher(loopback())
         release = threading.Event()
         seqs = []
 
@@ -486,9 +499,10 @@ class TestTcpPubSub:
         finally:
             pub.close()
 
-    def test_batch_larger_than_the_queue_drops_nothing(self):
+    def test_batch_larger_than_the_queue_drops_nothing(self, monkeypatch):
         # a deferred send must not turn a healthy subscriber's bound into drops
-        pub = Publisher(loopback(), queue_size=10)
+        monkeypatch.setattr(bus, "PUBLISHER_QUEUE_FRAMES", 10)
+        pub = Publisher(loopback())
         try:
             inbox = Inbox()
             sub = Subscriber(pub.endpoint, "", inbox)
@@ -520,9 +534,10 @@ class TestTcpPubSub:
         finally:
             pub.close()
 
-    def test_silent_connects_hold_no_thread_and_are_closed(self):
+    def test_silent_connects_hold_no_thread_and_are_closed(self, monkeypatch):
+        monkeypatch.setattr(bus, "HANDSHAKE_TIMEOUT_S", 0.5)
         before = set(threading.enumerate())
-        pub = Publisher(loopback(), handshake_timeout=0.5)
+        pub = Publisher(loopback())
         silent = []
         try:
             silent = [socket.create_connection(("127.0.0.1", pub.endpoint.port))
@@ -546,10 +561,11 @@ class TestTcpPubSub:
                 s.close()
             pub.close()
 
-    def test_partial_writes_never_tear_a_frame(self):
+    def test_partial_writes_never_tear_a_frame(self, monkeypatch):
         # 60 KB frames into a reader that takes small slices: sends are cut
         # mid-frame while drop-oldest evicts from a five-frame queue
-        pub = Publisher(loopback(), queue_size=5)
+        monkeypatch.setattr(bus, "PUBLISHER_QUEUE_FRAMES", 5)
+        pub = Publisher(loopback())
         reader = socket.create_connection(("127.0.0.1", pub.endpoint.port))
         try:
             reader.sendall(frame_encode(Frame("SUB", b"")))
@@ -591,10 +607,11 @@ class TestTcpPubSub:
             reader.close()
             pub.close(drain_timeout=0)
 
-    def test_concurrent_batches_and_backlog_keep_order_and_counts(self):
+    def test_concurrent_batches_and_backlog_keep_order_and_counts(self, monkeypatch):
         # producers in and out of batches race the bus loop, which writes
         # the backlog of a slow reader while drop-oldest evicts from it
-        pub = Publisher(loopback(), queue_size=50)
+        monkeypatch.setattr(bus, "PUBLISHER_QUEUE_FRAMES", 50)
+        pub = Publisher(loopback())
         reader = socket.create_connection(("127.0.0.1", pub.endpoint.port))
         switch = sys.getswitchinterval()
         try:
@@ -641,7 +658,7 @@ class TestTcpPubSub:
             reader.close()
             pub.close(drain_timeout=0)
 
-    def test_subscriber_close_is_prompt(self):
+    def test_subscriber_close_is_prompt(self, monkeypatch):
         pub = Publisher(loopback())
         try:
             sub = Subscriber(pub.endpoint, "", Inbox())
@@ -653,7 +670,9 @@ class TestTcpPubSub:
         finally:
             pub.close()
         # nothing listens now: the reconnect backoff is long, close() is not
-        sub = Subscriber(pub.endpoint, "", Inbox(), reconnect_delay=30.0, max_reconnect_delay=30.0)
+        monkeypatch.setattr(bus, "RECONNECT_DELAY_S", 30.0)
+        monkeypatch.setattr(bus, "MAX_RECONNECT_DELAY_S", 30.0)
+        sub = Subscriber(pub.endpoint, "", Inbox())
         time.sleep(0.2)
         t0 = time.monotonic()
         sub.close()

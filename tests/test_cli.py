@@ -1,6 +1,7 @@
 """CLI wiring: argument handling, config errors, daemon and bench smokes."""
 
 import json
+import multiprocessing
 import signal
 import socket
 import subprocess
@@ -51,6 +52,18 @@ def test_bench_rejects_bad_sweep(tmp_path):
 
 def _no_run(*args, **kwargs):
     raise AssertionError("a bad scenario must be refused before any process starts")
+
+
+def test_bench_refuses_a_sweep_below_the_refresh_period(tmp_path, monkeypatch, capsys):
+    # 0.5 s is a valid point, but no point runs once 0.033 s is refused
+    monkeypatch.setattr(bench, "run_scenario", _no_run)
+    out = tmp_path / "r.json"
+    assert main(["bench", "--sweep", "0.5,0.033", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert "bad --sweep value: 0.5,0.033" in err
+    assert "refresh period 0.05s" in err
 
 
 def test_bench_unknown_scenario_name(tmp_path, monkeypatch, capsys):

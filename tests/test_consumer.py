@@ -1,6 +1,10 @@
 """The consumer skeleton shared by the API and viz daemons."""
 
 import errno
+import http.client
+import logging
+import select
+import socket
 import subprocess
 import sys
 import threading
@@ -8,9 +12,11 @@ import time
 
 import pytest
 
-from wattbus.api import ApiServer, StaticTokenValidator
+import wattbus.bus as bus
+from wattbus.api import AUTH_HEADER, ApiServer, StaticTokenValidator
 from wattbus.bus import Endpoint, Frame, Publisher
 from wattbus.config import VizConfig
+from wattbus.consumer import ConsumerHandler
 from wattbus.energy import MeterState
 from wattbus.model import Measurement, ProbeId, encode_measurement
 from wattbus.viz import VizServer, VizState
@@ -41,8 +47,10 @@ def viz_server(tmp_path):
 def test_ingest_counts_malformed_then_ingests_and_close_ends_threads(tmp_path, make):
     server, counts = make(tmp_path)
     pub = Publisher(Endpoint("tcp", host="127.0.0.1", port=0))
+    before = set(threading.enumerate())
     try:
         server.start(subscribe=pub.endpoint)
+        threads = set(threading.enumerate()) - before
         assert wait_until(lambda: pub.subscriber_count == 1)
         pub.publish(Frame("s/p", b'{"probe":"s/p","timestamp":1,"w":-5}'))
         pub.publish(Frame("s/p", b"[" * 60000))  # too deep for json.loads, fits in a frame
@@ -51,10 +59,9 @@ def test_ingest_counts_malformed_then_ingests_and_close_ends_threads(tmp_path, m
         assert wait_until(lambda: counts() == (2, 1)), counts()
         assert server.ingest_errors == 0
     finally:
-        threads = server._threads + [server._subscriber._thread]
         server.close()
         pub.close()
-    assert len(threads) == 3  # HTTP, periodic, and the subscriber's reader, which ingests
+    assert len(threads) == 2  # HTTP, which runs the periodic task, and the subscriber's reader
     assert not [t.name for t in threads if t.is_alive()]
 
 
@@ -124,6 +131,90 @@ def test_periodic_error_is_counted_and_periodic_goes_on(tmp_path, make):
         assert server.periodic_errors == 1
     finally:
         server.close()
+
+
+@pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])
+def test_a_started_daemon_runs_two_threads(tmp_path, make):
+    server, _counts = make(tmp_path)
+    periodic = server.periodic
+    ran_on = []
+
+    def periodic_recording():
+        ran_on.append(threading.current_thread().name)
+        periodic()
+
+    server.periodic = periodic_recording
+    server._period_s = 0.05
+    pub = Publisher(Endpoint("tcp", host="127.0.0.1", port=0))
+    try:
+        before, known = threading.active_count(), set(threading.enumerate())
+        server.start(subscribe=pub.endpoint)
+        assert threading.active_count() == before + 2
+        new = {t.name for t in set(threading.enumerate()) - known}
+        assert new == {f"{server.name}-http", f"sub-{pub.endpoint}"}
+        assert wait_until(lambda: len(ran_on) >= 3), ran_on
+        assert set(ran_on) == {f"{server.name}-http"}
+        assert threading.active_count() == before + 2
+    finally:
+        server.close()
+        pub.close()
+
+
+@pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])
+def test_unreachable_publisher_logs_one_warning_naming_it(tmp_path, make, monkeypatch,
+                                                          caplog):
+    monkeypatch.setattr(bus, "RETRIES_BEFORE_WARNING", 3)
+    closed = socket.socket()
+    closed.bind(("127.0.0.1", 0))
+    endpoint = Endpoint("tcp", host="127.0.0.1", port=closed.getsockname()[1])
+    closed.close()
+    server, _counts = make(tmp_path)
+    try:
+        server.start(subscribe=endpoint)
+        warnings = lambda: [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert wait_until(warnings)
+        time.sleep(0.8)  # two more attempts fail within this streak, with no warning
+        assert [str(endpoint) in r.getMessage() for r in warnings()] == [True]
+    finally:
+        server.close()
+
+
+REQUESTS = {"api": ("/v1/status", {AUTH_HEADER: "t"}, 200),
+            "viz": ("/stats/s/p", {}, 404)}  # viz has no probe yet: unknown
+
+
+@pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])
+def test_idle_and_reset_connections_free_their_threads_quietly(tmp_path, make, monkeypatch,
+                                                               capfd):
+    monkeypatch.setattr(ConsumerHandler, "timeout", 0.5)
+    server, _counts = make(tmp_path)
+    path, headers, status = REQUESTS[server.name]
+    host, port = server._httpd.server_address[:2]
+    silent = []
+    try:
+        server.start()
+        baseline = threading.active_count()
+        silent = [socket.create_connection((host, port)) for _ in range(20)]
+        assert wait_until(lambda: threading.active_count() > baseline)
+        assert wait_until(lambda: threading.active_count() == baseline, timeout=2.0)
+
+        # a keep-alive client that closes with its response unread resets
+        # the connection, and the server's next read fails
+        reset = socket.create_connection((host, port))
+        reset.sendall(f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+        assert select.select([reset], [], [], 5.0)[0]
+        reset.close()
+        assert wait_until(lambda: server.http_errors == 1), server.http_errors
+
+        conn = http.client.HTTPConnection(host, port, timeout=5.0)
+        conn.request("GET", path, headers=headers)
+        assert conn.getresponse().status == status
+        conn.close()
+    finally:
+        for s in silent:
+            s.close()
+        server.close()
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])

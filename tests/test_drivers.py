@@ -273,8 +273,8 @@ class TestPollOnce:
 
     @pytest.mark.parametrize("shift, outlet", [(-1, 0), (1, 11)])
     def test_reading_for_an_unknown_outlet_becomes_driver_error(self, shift, outlet):
-        # without prebuilt probes outlet 0 would publish as "site/pdu3-out0",
-        # a topic no config names, and outlet 11 as "site/pdu3-out11"
+        # outlet 0 would index probes[-1], the last outlet, and outlet 11
+        # would run past the end of the probes
         spec = pdu_spec()
         with pytest.raises(DriverError, match=f"outlet {outlet} of 10"):
             poll_once(spec, Renumbered(PullDevice(spec), shift), now=1.0)
