@@ -7,10 +7,9 @@ Subscribes on the bus, feeds a MeterState, and serves it over HTTP/1.1:
     GET /v1/status/                  ingest counters
 
 Every request must carry a valid ``X-Auth-Token`` header; the token is
-checked before any state is touched (401), unknown probes give 404, and
-anything that is not one of the routes above gives 400.  Token validation
-is pluggable so deployments can swap the static list for an external
-identity service with the same 401 semantics.
+checked before any state is touched (401) against the configured token
+list, unknown probes give 404, and anything that is not one of the routes
+above gives 400.
 """
 
 from __future__ import annotations
@@ -29,14 +28,7 @@ log = logging.getLogger(__name__)
 AUTH_HEADER = "X-Auth-Token"
 
 
-class TokenValidator:
-    """Interface for token backends; implement ``validate``."""
-
-    def validate(self, token: str | None) -> bool:
-        raise NotImplementedError
-
-
-class StaticTokenValidator(TokenValidator):
+class StaticTokenValidator:
     """Accepts tokens from a fixed list, compared constant-time."""
 
     def __init__(self, tokens):
@@ -91,7 +83,7 @@ class ApiServer(ConsumerServer):
     name = "api"
 
     def __init__(self, state: MeterState, listen: tuple[str, int],
-                 validator: TokenValidator,
+                 validator: StaticTokenValidator,
                  stale_timeout_s: float = 300.0,
                  eviction_period_s: float | None = None):
         if eviction_period_s is None:

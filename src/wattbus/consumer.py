@@ -39,6 +39,7 @@ class ConsumerHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     timeout = HTTP_IDLE_TIMEOUT_S
+    disable_nagle_algorithm = True  # headers and body are two writes: send each at once
 
     def log_message(self, fmt, *args):  # route through logging, not stderr
         log.debug("%s %s", self.address_string(), fmt % args)

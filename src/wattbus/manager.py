@@ -34,7 +34,7 @@ from wattbus.signing import sign
 log = logging.getLogger(__name__)
 
 DEFAULT_WATCHDOG_PERIOD_S = 10.0
-DEFAULT_RESTART_LIMIT = 5
+RESTART_LIMIT = 5  # failed restarts in a row before a driver is quarantined
 PHASES = 20  # stagger points per interval: one scheduler wake each
 
 
@@ -163,7 +163,6 @@ class DriverManager:
     def __init__(self, probes: list[DriverSpec], publisher,
                  secret: bytes | None = None,
                  watchdog_period_s: float = DEFAULT_WATCHDOG_PERIOD_S,
-                 restart_limit: int = DEFAULT_RESTART_LIMIT,
                  max_ticks: int | None = None,
                  stagger: bool = True,
                  status_path: str | None = None,
@@ -173,7 +172,6 @@ class DriverManager:
         self._secret = secret
         self._device_factory = device_factory
         self._watchdog_period_s = watchdog_period_s
-        self._restart_limit = restart_limit
         self._max_ticks = max_ticks
         self._stagger = stagger
         self._status_path = status_path
@@ -335,7 +333,7 @@ class DriverManager:
         for slot in self._slots.values():
             if slot.alive or slot.finished or slot.quarantined:
                 continue
-            if slot.consecutive_restarts >= self._restart_limit:
+            if slot.consecutive_restarts >= RESTART_LIMIT:
                 slot.quarantined = True
                 log.error("driver %s quarantined after %d failed restarts",
                           slot.spec.topic, slot.consecutive_restarts)

@@ -2,9 +2,10 @@
 
 Maintains a set of round-robin archives per probe (multiple granularities),
 serves summary statistics including energy cost, and renders SVG line
-charts.  Charts are cached on disk and regenerated only when the backing
-archive has accepted new samples since the cached file was drawn, so idle
-dashboards cost nothing.
+charts.  Each chart is one cached SVG file, redrawn only when the backing
+archive has accepted new samples since it was drawn, so idle dashboards
+cost nothing.  The generation each file shows is kept in memory, so a
+restarted viz redraws each chart once.
 
 HTTP surface (no auth; this is the human-facing display side)::
 
@@ -14,12 +15,13 @@ HTTP surface (no auth; this is the human-facing display side)::
 
 from __future__ import annotations
 
-import json
+import contextlib
 import logging
 import math
 import os
 import re
 import threading
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from urllib.parse import parse_qs, urlparse
 
@@ -31,6 +33,8 @@ from wattbus.rra import RoundRobinArchive
 from wattbus.signing import verify
 
 log = logging.getLogger(__name__)
+
+MAX_CACHED_CHARTS = 1024  # one default-window chart per probe of a 1,000-probe fleet fits
 
 
 class StatsError(ValueError):
@@ -133,15 +137,18 @@ class VizState:
     """Archive table plus chart rendering with an out-of-date cache."""
 
     def __init__(self, cfg: VizConfig, secret: bytes | None = None,
-                 data_dir: str | None = None, cache_dir: str | None = None):
+                 cache_dir: str | None = None):
         self.cfg = cfg
         self._secret = secret
-        self._data_dir = data_dir if data_dir is not None else cfg.data_dir
-        self._cache_dir = cache_dir or os.path.join(self._data_dir, "charts")
+        self._cache_dir = cache_dir or os.path.join(cfg.data_dir, "charts")
         os.makedirs(self._cache_dir, exist_ok=True)
+        for name in os.listdir(self._cache_dir):  # files the chart table below does not know
+            if name.endswith((".svg", ".svg.meta", ".tmp")):
+                os.remove(os.path.join(self._cache_dir, name))
         self._lock = threading.Lock()
         self._flush_lock = threading.Lock()  # one flush at a time writes the files
         self._probes: dict[str, _ProbeArchives] = {}
+        self._charts: OrderedDict[str, int] = OrderedDict()  # file -> generation, LRU first
         self.ingested = 0
         self.rejected = 0
         self.malformed = 0
@@ -157,7 +164,7 @@ class VizState:
         with self._lock:
             arch = self._probes.get(m.probe.topic)
             if arch is None:
-                arch = _ProbeArchives(m.probe, self.cfg.archives, self._data_dir)
+                arch = _ProbeArchives(m.probe, self.cfg.archives, self.cfg.data_dir)
                 self._probes[m.probe.topic] = arch
             arch.update(m.timestamp, m.watts)
             self.ingested += 1
@@ -185,10 +192,6 @@ class VizState:
             if first_error is not None:
                 raise first_error
 
-    def probes(self) -> list[str]:
-        with self._lock:
-            return sorted(self._probes)
-
     # -- query side -------------------------------------------------------
 
     def _archives_for(self, topic: str) -> _ProbeArchives:
@@ -213,7 +216,8 @@ class VizState:
         accepted samples since the file was generated.  Its name carries
         each bound as requested, ``latest`` for one not given, so a
         dashboard that refreshes the default window keeps rewriting one
-        file rather than leaving one behind per refresh.
+        file rather than leaving one behind per refresh.  Past
+        ``MAX_CACHED_CHARTS`` files the least recently served is deleted.
         """
         bounds = "_".join("latest" if t is None else f"{t:.3f}" for t in (t_from, t_to))
         with self._lock:
@@ -222,25 +226,21 @@ class VizState:
             probe = arch.probe
             name = f"{probe.site}__{probe.name}__{archive.step_s:g}s__{bounds}.svg"
             path = os.path.join(self._cache_dir, name)
-            meta_path = path + ".meta"
-            if os.path.exists(path) and os.path.exists(meta_path):
-                try:
-                    with open(meta_path, "r", encoding="utf-8") as fh:
-                        meta = json.load(fh)
-                    if meta.get("generation") == archive.generation:
-                        return path
-                except (OSError, ValueError):
-                    pass  # unreadable meta: just regenerate
+            if self._charts.get(name) == archive.generation and os.path.exists(path):
+                self._charts.move_to_end(name)
+                return path
             buckets = archive.fetch(t_from, t_to)
             stats = compute_stats(buckets, archive.step_s, self.cfg.price_eur_per_kwh)
             svg = _render_svg(topic, buckets, archive.step_s, t_from, t_to, stats)
             with open(path + ".tmp", "w", encoding="utf-8") as fh:
                 fh.write(svg)
             os.replace(path + ".tmp", path)
-            with open(meta_path + ".tmp", "w", encoding="utf-8") as fh:
-                json.dump({"generation": archive.generation,
-                           "stats": asdict(stats)}, fh)
-            os.replace(meta_path + ".tmp", meta_path)
+            self._charts[name] = archive.generation
+            self._charts.move_to_end(name)
+            if len(self._charts) > MAX_CACHED_CHARTS:
+                oldest, _ = self._charts.popitem(last=False)
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(os.path.join(self._cache_dir, oldest))
             self.render_count += 1
             return path
 

@@ -10,8 +10,9 @@ import urllib.request
 
 import pytest
 
-from wattbus.api import ApiServer, StaticTokenValidator
+from wattbus.api import ApiServer, StaticTokenValidator, start_api
 from wattbus.bus import Frame, Publisher
+from wattbus.config import parse_config
 from wattbus.energy import MeterState, OutOfOrderError, integrate_energy
 from wattbus.model import Measurement, ProbeId, encode_measurement
 from wattbus.signing import sign
@@ -109,6 +110,26 @@ class TestMeterState:
         state.ingest(m("a/slow", 50.5, 100.0))
         assert state.counters().gaps == 0
         assert state.get("a/slow")["kwh"] > 0
+
+    def test_api_gap_limit_applies_only_to_unconfigured_topics(self, monkeypatch):
+        # start_api gives each configured probe GAP_LIMIT_INTERVALS (10) of its
+        # own intervals, which wins over [api] gap_limit
+        cfg = parse_config("[probe:a/b]\ndriver = ipmi\ninterval = 5\n"
+                           "[api]\ntokens = t\ngap_limit = 600\n")
+        cfg.api = dataclasses.replace(cfg.api, listen=("127.0.0.1", 0))
+        built = []
+        monkeypatch.setattr(ApiServer, "start", lambda self, subscribe: built.append(self))
+        (close,) = start_api(cfg)
+        try:
+            state = built[0].state
+            for topic in ("a/b", "x/unconfigured"):
+                state.ingest(m(topic, 1000.0, 500.0))
+                state.ingest(m(topic, 1100.0, 500.0))  # a 100 s gap
+            assert state.get("a/b")["kwh"] == 0.0  # 100 s > 10 x 5 s
+            assert state.get("x/unconfigured")["kwh"] > 0  # 100 s <= 600 s
+            assert state.counters().gaps == 1
+        finally:
+            close()
 
     def test_replay_matches_trapezoid_oracle(self):
         rng = random.Random(7)

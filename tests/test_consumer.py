@@ -218,6 +218,27 @@ def test_idle_and_reset_connections_free_their_threads_quietly(tmp_path, make, m
 
 
 @pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])
+def test_keep_alive_requests_do_not_wait_for_delayed_acks(tmp_path, make):
+    # a response goes out as two writes, headers then body; with Nagle's
+    # algorithm on, the body waits for the client's delayed ACK (about 40 ms)
+    server, _counts = make(tmp_path)
+    path, headers, status = REQUESTS[server.name]
+    server.start()
+    conn = http.client.HTTPConnection(*server._httpd.server_address[:2], timeout=5.0)
+    try:
+        t0 = time.monotonic()
+        for _ in range(50):
+            conn.request("GET", path, headers=headers)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == status
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        conn.close()
+        server.close()
+
+
+@pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])
 def test_close_without_start_returns(tmp_path, make):
     server, _counts = make(tmp_path)
     closer = threading.Thread(target=server.close, daemon=True)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+import wattbus.manager
 from wattbus.bus import Publisher, Subscriber
 from wattbus.devices import (
     PROFILES,
@@ -575,12 +576,12 @@ class TestDriverManager:
         assert (status.ticks, status.lost, status.published) == (3, 30, 0)
         assert pub.publish_calls == 0
 
-    def test_quarantine_after_repeated_failures(self, pub):
+    def test_quarantine_after_repeated_failures(self, pub, monkeypatch):
         def broken_factory(spec, start):
             raise RuntimeError("device never comes up")
 
-        manager = DriverManager(ipmi_specs(1), pub,
-                                watchdog_period_s=0.1, restart_limit=2,
+        monkeypatch.setattr(wattbus.manager, "RESTART_LIMIT", 2)
+        manager = DriverManager(ipmi_specs(1), pub, watchdog_period_s=0.1,
                                 device_factory=broken_factory)
         manager.start()
         try:
@@ -707,7 +708,8 @@ class TestDriverManager:
         assert all(r.t >= r.made + r.k * interval for r in reads)
 
     @pytest.mark.parametrize("good_makes", [0, 1])  # fails in start(), or on restart
-    def test_device_factory_that_raises_kills_only_its_slot(self, good_makes, pub):
+    def test_device_factory_that_raises_kills_only_its_slot(self, good_makes, pub,
+                                                            monkeypatch):
         made = collections.Counter()
         topic = "t/d1"
 
@@ -717,8 +719,9 @@ class TestDriverManager:
                 raise RuntimeError("device never comes up")
             return make_device(spec, start)
 
+        monkeypatch.setattr(wattbus.manager, "RESTART_LIMIT", 2)
         manager = DriverManager(ipmi_specs(3), pub, watchdog_period_s=0.1,
-                                restart_limit=2, device_factory=factory)
+                                device_factory=factory)
         manager.start()
         try:
             assert manager.status_for(topic).alive == bool(good_makes)

@@ -6,7 +6,6 @@ import os
 import threading
 import urllib.error
 import urllib.request
-from dataclasses import asdict
 
 import pytest
 
@@ -16,6 +15,7 @@ from wattbus.model import Measurement, ProbeId
 from wattbus.rra import RoundRobinArchive
 from wattbus.signing import sign
 from wattbus.viz import (
+    MAX_CACHED_CHARTS,
     StatsError,
     UnknownProbeError,
     VizServer,
@@ -62,8 +62,9 @@ class TestComputeStats:
         assert stats.total_kwh >= 0
 
 
-def small_viz_config():
+def small_viz_config(data_dir):
     return VizConfig(
+        data_dir=str(data_dir),
         price_eur_per_kwh=0.25,
         archives=(ArchiveDef(10.0, 16), ArchiveDef(60.0, 8)),
     )
@@ -71,8 +72,7 @@ def small_viz_config():
 
 @pytest.fixture()
 def state(tmp_path):
-    return VizState(small_viz_config(), data_dir=str(tmp_path / "data"),
-                    cache_dir=str(tmp_path / "charts"))
+    return VizState(small_viz_config(tmp_path / "data"), cache_dir=str(tmp_path / "charts"))
 
 
 class TestVizState:
@@ -92,8 +92,8 @@ class TestVizState:
 
     def test_signature_gate(self, tmp_path):
         secret = b"viz-secret-0123456"
-        state = VizState(small_viz_config(), secret=secret,
-                         data_dir=str(tmp_path / "d"), cache_dir=str(tmp_path / "c"))
+        state = VizState(small_viz_config(tmp_path / "d"), secret=secret,
+                         cache_dir=str(tmp_path / "c"))
         state.ingest(m("a/p", 100.0, 50.0))  # unsigned: rejected
         assert state.rejected == 1
         state.ingest(sign(m("a/p", 101.0, 50.0), secret))
@@ -124,24 +124,44 @@ class TestVizState:
             state.ingest(m("a/p", 100.0 + i, 200.0 + i % 7))
             path = state.render_chart("a/p")
         assert state.render_count == 600  # each refresh saw a new sample
-        assert sorted(os.listdir(tmp_path / "charts")) == sorted(
-            [os.path.basename(path), os.path.basename(path) + ".meta"])
-        assert json.load(open(path + ".meta"))["stats"] == asdict(state.stats("a/p"))
+        assert os.listdir(tmp_path / "charts") == [os.path.basename(path)]
+        assert f"avg {state.stats('a/p').avg_w:.6g} W" in open(path).read()
+
+    def test_cache_holds_at_most_max_cached_charts_files(self, state, tmp_path):
+        for i in range(5):
+            state.ingest(m("a/p", 100.0 + 10 * i, 200.0))
+        for i in range(3000):  # distinct explicit ranges: one file each
+            path = state.render_chart("a/p", 100.0, 160.0 + i / 100)
+        assert len(os.listdir(tmp_path / "charts")) <= MAX_CACHED_CHARTS
+        assert state.render_chart("a/p", 100.0, 160.0 + 2999 / 100) == path
+        assert state.render_count == 3000
+        # the least recently served chart was dropped: asking again redraws it
+        state.render_chart("a/p", 100.0, 160.0)
+        assert state.render_count == 3001
+
+    def test_restart_clears_the_cache_and_redraws_each_chart_once(self, state, tmp_path):
+        state.ingest(m("a/p", 100.0, 200.0))
+        path = state.render_chart("a/p")
+        charts = tmp_path / "charts"
+        for leftover in ("x.svg.meta", "x.svg.tmp", "x.svg.meta.tmp"):
+            (charts / leftover).write_text("{}")
+        (charts / "notes.txt").write_text("kept")
+        fresh = VizState(small_viz_config(tmp_path / "data"), cache_dir=str(charts))
+        assert os.listdir(charts) == ["notes.txt"]
+        fresh.ingest(m("a/p", 100.0, 200.0))
+        assert fresh.render_chart("a/p") == path
+        assert fresh.render_chart("a/p") == path
+        assert fresh.render_count == 1
 
     def test_chart_legend_matches_compute_stats(self, state):
         for i in range(8):
             state.ingest(m("a/p", 200.0 + 10 * i, 120.0 + 5 * i))
         t_from, t_to = 200.0, 280.0
         path = state.render_chart("a/p", t_from, t_to)
-        meta = json.load(open(path + ".meta"))
         with state._lock:
             archive = state._probes["a/p"].archives[0]
             buckets = archive.fetch(t_from, t_to)
         expected = compute_stats(buckets, archive.step_s, 0.25)
-        assert meta["stats"] == pytest.approx(
-            {"avg_w": expected.avg_w, "min_w": expected.min_w,
-             "max_w": expected.max_w, "last_w": expected.last_w,
-             "total_kwh": expected.total_kwh, "cost_eur": expected.cost_eur})
         svg = open(path).read()
         assert f"avg {expected.avg_w:.6g} W" in svg
         assert f"cost {expected.cost_eur:.6g} EUR" in svg
@@ -189,14 +209,13 @@ class TestVizState:
         assert not flusher.is_alive()
         assert state.ingested == 2
         # the files hold the archives as they were when the flush copied them
-        fresh = VizState(small_viz_config(), data_dir=str(tmp_path / "data"))
+        fresh = VizState(small_viz_config(tmp_path / "data"))
         fresh.ingest(m("a/p", 105.0, 150.0))
         assert fresh.stats("a/p").max_w == 150.0
 
     def test_failed_write_keeps_old_file_and_saves_other_probes(self, tmp_path, monkeypatch):
         data_dir = tmp_path / "data"
-        state = VizState(small_viz_config(), data_dir=str(data_dir),
-                         cache_dir=str(tmp_path / "c"))
+        state = VizState(small_viz_config(data_dir), cache_dir=str(tmp_path / "c"))
         for topic in ("a/p", "a/q"):
             state.ingest(m(topic, 100.0, 50.0))
         state.flush()
@@ -225,20 +244,19 @@ class TestVizState:
                 assert [w for _, w in kept if w is not None] == [50.0]
             else:
                 assert path.read_bytes() != old
-        fresh = VizState(small_viz_config(), data_dir=str(data_dir), cache_dir=str(tmp_path / "c2"))
+        fresh = VizState(small_viz_config(data_dir), cache_dir=str(tmp_path / "c2"))
         fresh.ingest(m("a/q", 111.0, 70.0))
         assert fresh.stats("a/q", step_s=10.0).max_w == 70.0
 
     def test_persistence_flush_and_reload(self, tmp_path):
-        data_dir = str(tmp_path / "data")
-        cfg = small_viz_config()
-        state = VizState(cfg, data_dir=data_dir, cache_dir=str(tmp_path / "c1"))
+        cfg = small_viz_config(tmp_path / "data")
+        state = VizState(cfg, cache_dir=str(tmp_path / "c1"))
         for i in range(6):
             state.ingest(m("a/p", 100.0 + 10 * i, 150.0))
         before = state.stats("a/p")
         state.flush()
 
-        fresh = VizState(cfg, data_dir=data_dir, cache_dir=str(tmp_path / "c2"))
+        fresh = VizState(cfg, cache_dir=str(tmp_path / "c2"))
         # archives reload lazily at first sample for the probe
         fresh.ingest(m("a/p", 100.0 + 10 * 6, 150.0))
         after = fresh.stats("a/p")
