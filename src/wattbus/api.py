@@ -19,8 +19,8 @@ import logging
 import re
 from dataclasses import asdict
 
-from wattbus.consumer import ConsumerHandler, ConsumerServer
-from wattbus.energy import MeterState, gap_limits_from_probes
+from wattbus.consumer import ConsumerServer, json_reply
+from wattbus.energy import STALE_TIMEOUT_S, MeterState, gap_limits_from_probes
 from wattbus.model import Measurement, decode_measurement
 
 log = logging.getLogger(__name__)
@@ -49,48 +49,36 @@ class StaticTokenValidator:
 _PROBE_PATH = re.compile(r"^/v1/probes/([^/]+)/([^/]+)/?$")
 
 
-class _Handler(ConsumerHandler):
-    server_version = "wattbus-api"
-
-    def do_GET(self):
-        server: ApiServer = self.server.consumer  # type: ignore[attr-defined]
-        if not server.validator.validate(self.headers.get(AUTH_HEADER)):
-            self._reply_json(401, {"error": "invalid or missing token"})
-            return
-        path = self.path.split("?", 1)[0]
-        if path in ("/v1/probes", "/v1/probes/"):
-            self._reply_json(200, {"probes": server.state.snapshot()})
-            return
-        if path in ("/v1/status", "/v1/status/"):
-            self._reply_json(200, {**asdict(server.state.counters()),
-                                   "probes": len(server.state)})
-            return
-        match = _PROBE_PATH.match(path)
-        if match:
-            record = server.state.get(f"{match.group(1)}/{match.group(2)}")
-            if record is None:
-                self._reply_json(404, {"error": "unknown probe"})
-            else:
-                self._reply_json(200, record)
-            return
-        self._reply_json(400, {"error": "malformed path"})
-
-
 class ApiServer(ConsumerServer):
     """REST front over a MeterState; the periodic task evicts stale probes."""
 
-    handler = _Handler
     name = "api"
 
     def __init__(self, state: MeterState, listen: tuple[str, int],
                  validator: StaticTokenValidator,
-                 stale_timeout_s: float = 300.0,
+                 stale_timeout_s: float = STALE_TIMEOUT_S,
                  eviction_period_s: float | None = None):
         if eviction_period_s is None:
             eviction_period_s = max(min(stale_timeout_s / 4.0, 30.0), 0.05)
         super().__init__(state, listen, eviction_period_s)
         self.validator = validator
         self._stale_timeout_s = stale_timeout_s
+
+    def answer(self, path: str, headers) -> tuple[int, bytes, str]:
+        if not self.validator.validate(headers.get(AUTH_HEADER)):
+            return json_reply(401, {"error": "invalid or missing token"})
+        path = path.split("?", 1)[0]
+        if path in ("/v1/probes", "/v1/probes/"):
+            return json_reply(200, {"probes": self.state.snapshot()})
+        if path in ("/v1/status", "/v1/status/"):
+            return json_reply(200, {**asdict(self.state.counters()), "probes": len(self.state)})
+        match = _PROBE_PATH.match(path)
+        if match is None:
+            return json_reply(400, {"error": "malformed path"})
+        record = self.state.get(f"{match.group(1)}/{match.group(2)}")
+        if record is None:
+            return json_reply(404, {"error": "unknown probe"})
+        return json_reply(200, record)
 
     def decode(self, payload: bytes) -> Measurement:
         return decode_measurement(payload)  # looked up per call: a wrapper set on the module applies

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from wattbus.bus import Endpoint
 from wattbus.devices import PROFILES, DeviceProfile, DriverSpec, load_trace, seed_for_topic
+from wattbus.energy import DEFAULT_GAP_LIMIT_S, STALE_TIMEOUT_S
 from wattbus.forwarder import ForwarderConfig
 from wattbus.model import ProbeId
 from wattbus.rra import AVERAGE, check_archive
@@ -61,8 +62,8 @@ class ArchiveDef:
 class ApiConfig:
     listen: tuple[str, int] = ("127.0.0.1", 8417)
     tokens: tuple[str, ...] = ()
-    stale_timeout_s: float = 300.0
-    gap_limit_s: float = 60.0
+    stale_timeout_s: float = STALE_TIMEOUT_S
+    gap_limit_s: float = DEFAULT_GAP_LIMIT_S
 
     def __post_init__(self):
         if self.stale_timeout_s <= 0:

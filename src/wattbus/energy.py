@@ -24,6 +24,7 @@ log = logging.getLogger(__name__)
 
 WS_PER_KWH = 3.6e6  # watt-seconds in one kilowatt-hour
 DEFAULT_GAP_LIMIT_S = 60.0
+STALE_TIMEOUT_S = 300.0  # a probe silent this long is evicted
 GAP_LIMIT_INTERVALS = 10  # gap limit as a multiple of the driver interval
 
 
@@ -139,8 +140,7 @@ class MeterState:
         with self._lock:
             self.malformed += 1
 
-    def evict_stale(self, now: float | None = None,
-                    timeout_s: float = 300.0) -> list[ProbeId]:
+    def evict_stale(self, timeout_s: float, now: float | None = None) -> list[ProbeId]:
         """Drop probes silent for longer than ``timeout_s``.
 
         A probe that reappears later starts over with kwh_total = 0; energy

@@ -25,6 +25,8 @@ import urllib.request
 
 log = logging.getLogger(__name__)
 
+MAX_BACKOFF_S = 30.0  # the retry delay doubles per failed poll up to this
+
 
 class PollsterAuthError(Exception):
     """The API rejected our token; retrying cannot help."""
@@ -79,8 +81,7 @@ def poll_once(api_url: str, token: str, sink_path: str) -> int:
 
 
 def run_pollster(api_url: str, token: str, period_s: float, sink_path: str,
-                 max_polls: int | None = None,
-                 max_backoff_s: float = 30.0) -> None:
+                 max_polls: int | None = None) -> None:
     """Poll forever (or for max_polls cycles, for tests/CLI one-shots)."""
     polls = 0
     backoff = period_s
@@ -94,7 +95,7 @@ def run_pollster(api_url: str, token: str, period_s: float, sink_path: str,
             log.warning("poll failed (%s); gap in the sink, retrying in %.1fs",
                         exc, backoff)
             time.sleep(backoff)
-            backoff = min(backoff * 2, max_backoff_s)
+            backoff = min(backoff * 2, MAX_BACKOFF_S)
             continue
         backoff = period_s
         polls += 1

@@ -41,6 +41,7 @@ AVERAGE, MIN, MAX = "average", "min", "max"
 CONSOLIDATIONS = (AVERAGE, MIN, MAX)  # a name's index is its on-disk code
 
 _HEADER = struct.Struct("<8sdIBqQQ")
+MAX_CAPACITY = 2**32 - 1  # the header stores the capacity as a uint32
 _SLOT = struct.Struct("<qdQ")
 _EMPTY_SLOT = _SLOT.pack(-1, 0.0, 0)
 _pack_slot, _unpack_slot = _SLOT.pack_into, _SLOT.unpack_from
@@ -54,8 +55,8 @@ def check_archive(step_s: float, capacity: int, consolidation: str) -> None:
     """Raise ValueError unless the three describe a valid archive."""
     if not 0 < step_s < math.inf:  # a NaN step would fail in bucket_index, on ingest
         raise ValueError("archive step must be positive and finite")
-    if capacity <= 0:
-        raise ValueError("archive capacity must be positive")
+    if not 0 < capacity <= MAX_CAPACITY:
+        raise ValueError(f"archive capacity must be between 1 and {MAX_CAPACITY}")
     if consolidation not in CONSOLIDATIONS:
         raise ValueError(f"unknown consolidation {consolidation!r}")
 

@@ -16,6 +16,7 @@ HTTP surface (no auth; this is the human-facing display side)::
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import logging
 import math
 import os
@@ -26,7 +27,7 @@ from dataclasses import asdict, dataclass
 from urllib.parse import parse_qs, urlparse
 
 from wattbus.config import ArchiveDef, VizConfig
-from wattbus.consumer import ConsumerHandler, ConsumerServer
+from wattbus.consumer import ConsumerServer, json_reply
 from wattbus.energy import WS_PER_KWH
 from wattbus.model import Measurement, ProbeId, decode_measurement
 from wattbus.rra import RoundRobinArchive
@@ -213,18 +214,19 @@ class VizState:
         """Return the path of an up-to-date chart for the range.
 
         The cached file is reused untouched unless the serving archive has
-        accepted samples since the file was generated.  Its name carries
-        each bound as requested, ``latest`` for one not given, so a
-        dashboard that refreshes the default window keeps rewriting one
-        file rather than leaving one behind per refresh.  Past
-        ``MAX_CACHED_CHARTS`` files the least recently served is deleted.
+        accepted samples since the file was generated.  Its name is a
+        digest of the topic, the serving archive's step and each bound as
+        requested (``None`` for one not given), so a dashboard that
+        refreshes the default window keeps rewriting one file rather than
+        leaving one behind per refresh.  Past ``MAX_CACHED_CHARTS`` files
+        the least recently served is deleted.
         """
-        bounds = "_".join("latest" if t is None else f"{t:.3f}" for t in (t_from, t_to))
+        requested = (t_from, t_to)
         with self._lock:
             arch = self._archives_for(topic)
             archive, t_from, t_to = _resolve_range(arch, step_s, t_from, t_to)
-            probe = arch.probe
-            name = f"{probe.site}__{probe.name}__{archive.step_s:g}s__{bounds}.svg"
+            key = repr((topic, archive.step_s, *requested)).encode("utf-8")
+            name = hashlib.blake2b(key, digest_size=16).hexdigest() + ".svg"
             path = os.path.join(self._cache_dir, name)
             if self._charts.get(name) == archive.generation and os.path.exists(path):
                 self._charts.move_to_end(name)
@@ -337,12 +339,17 @@ _CHART_PATH = re.compile(r"^/charts/([^/]+)/([^/]+)\.svg$")
 _STATS_PATH = re.compile(r"^/stats/([^/]+)/([^/]+)/?$")
 
 
-class _VizHandler(ConsumerHandler):
-    server_version = "wattbus-viz"
+class VizServer(ConsumerServer):
+    """Chart front over a VizState; the periodic task, and close, flush the archives."""
 
-    def do_GET(self):
-        state: VizState = self.server.consumer.state  # type: ignore[attr-defined]
-        url = urlparse(self.path)
+    name = "viz"
+
+    def __init__(self, state: VizState, listen: tuple[str, int],
+                 flush_period_s: float = 30.0):
+        super().__init__(state, listen, flush_period_s)
+
+    def answer(self, path: str, headers) -> tuple[int, bytes, str]:
+        url = urlparse(path)
         query = parse_qs(url.query)
 
         def qfloat(key: str) -> float | None:
@@ -360,35 +367,20 @@ class _VizHandler(ConsumerHandler):
             t_from, t_to, step = qfloat("from"), qfloat("to"), qfloat("step")
             match = _CHART_PATH.match(url.path)
             if match:
-                path = state.render_chart(f"{match.group(1)}/{match.group(2)}",
-                                          t_from, t_to, step)
-                with open(path, "rb") as fh:
-                    self._reply(200, fh.read(), "image/svg+xml")
-                return
+                chart = self.state.render_chart(f"{match.group(1)}/{match.group(2)}",
+                                                t_from, t_to, step)
+                with open(chart, "rb") as fh:
+                    return 200, fh.read(), "image/svg+xml"
             match = _STATS_PATH.match(url.path)
             if match:
-                stats = state.stats(f"{match.group(1)}/{match.group(2)}",
-                                    t_from, t_to, step)
-                self._reply_json(200, asdict(stats))
-                return
+                stats = self.state.stats(f"{match.group(1)}/{match.group(2)}",
+                                         t_from, t_to, step)
+                return json_reply(200, asdict(stats))
         except UnknownProbeError:
-            self._reply_json(404, {"error": "unknown probe"})
-            return
+            return json_reply(404, {"error": "unknown probe"})
         except StatsError as exc:
-            self._reply_json(400, {"error": str(exc)})
-            return
-        self._reply_json(400, {"error": "malformed path"})
-
-
-class VizServer(ConsumerServer):
-    """Chart front over a VizState; the periodic task, and close, flush the archives."""
-
-    handler = _VizHandler
-    name = "viz"
-
-    def __init__(self, state: VizState, listen: tuple[str, int],
-                 flush_period_s: float = 30.0):
-        super().__init__(state, listen, flush_period_s)
+            return json_reply(400, {"error": str(exc)})
+        return json_reply(400, {"error": "malformed path"})
 
     def decode(self, payload: bytes) -> Measurement:
         return decode_measurement(payload)  # looked up per call: a wrapper set on the module applies

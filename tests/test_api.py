@@ -10,14 +10,16 @@ import urllib.request
 
 import pytest
 
-from wattbus.api import ApiServer, StaticTokenValidator, start_api
+from wattbus.api import AUTH_HEADER, ApiServer, StaticTokenValidator, start_api
 from wattbus.bus import Frame, Publisher
 from wattbus.config import parse_config
+from wattbus.consumer import ConsumerHandler
 from wattbus.energy import MeterState, OutOfOrderError, integrate_energy
 from wattbus.model import Measurement, ProbeId, encode_measurement
 from wattbus.signing import sign
 
 from test_bus import loopback, wait_until
+from test_consumer import served_headers
 
 TOKEN = "unit-test-token"
 
@@ -282,6 +284,11 @@ class TestHttpApi:
         # trailing slash optional
         status2, body2 = http_get(f"{server.url}/v1/probes/siteA/p1")
         assert (status2, body2) == (status, body)
+        api = (f"wattbus-api {ConsumerHandler.sys_version}", "application/json")
+        for path in ("/v1/probes/", "/v1/status/", "/v1/probes/siteA/p1/", "/v1/probes/no/pe/",
+                     "/v1/nope/"):
+            for token in (TOKEN, "nope"):
+                assert served_headers(server, path, {AUTH_HEADER: token}) == api, (path, token)
 
     def test_unknown_probe_404(self, server):
         status, _ = http_get(f"{server.url}/v1/probes/nope/missing/")

@@ -147,6 +147,16 @@ def test_archive_capacity_must_be_positive():
         parse_config(text)
 
 
+def test_archive_capacity_must_fit_the_file_header():
+    # the archive file stores the capacity as a uint32; only definitions
+    # are built here, since an archive this large would take 96 GiB
+    assert ArchiveDef(1.0, 2**32 - 1).capacity == 2**32 - 1
+    with pytest.raises(ValueError, match="4294967295"):
+        ArchiveDef(1.0, 2**32)
+    with pytest.raises(ConfigError, match="4294967295"):
+        parse_config(MINIMAL + "[viz]\narchives = 1:4294967296\n")
+
+
 def test_default_archive_set():
     cfg = parse_config(MINIMAL)
     assert [(a.step_s, a.capacity, a.consolidation) for a in cfg.viz.archives] == [

@@ -11,6 +11,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import wattbus.bus as bus
 from wattbus.api import AUTH_HEADER, ApiServer, StaticTokenValidator
@@ -41,6 +43,18 @@ def viz_server(tmp_path):
     state = VizState(VizConfig(data_dir=str(tmp_path)))
     server = VizServer(state, ("127.0.0.1", 0))
     return server, lambda: (state.malformed, state.ingested)
+
+
+def served_headers(server, path, headers=None):
+    """The Server and Content-Type headers a started server sends for ``path``."""
+    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=5.0)
+    try:
+        conn.request("GET", path, headers=headers or {})
+        response = conn.getresponse()
+        response.read()
+        return response.getheader("Server"), response.getheader("Content-Type")
+    finally:
+        conn.close()
 
 
 @pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])
@@ -189,7 +203,7 @@ def test_idle_and_reset_connections_free_their_threads_quietly(tmp_path, make, m
     monkeypatch.setattr(ConsumerHandler, "timeout", 0.5)
     server, _counts = make(tmp_path)
     path, headers, status = REQUESTS[server.name]
-    host, port = server._httpd.server_address[:2]
+    host, port = server.server_address[:2]
     silent = []
     try:
         server.start()
@@ -224,7 +238,7 @@ def test_keep_alive_requests_do_not_wait_for_delayed_acks(tmp_path, make):
     server, _counts = make(tmp_path)
     path, headers, status = REQUESTS[server.name]
     server.start()
-    conn = http.client.HTTPConnection(*server._httpd.server_address[:2], timeout=5.0)
+    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=5.0)
     try:
         t0 = time.monotonic()
         for _ in range(50):
@@ -245,6 +259,38 @@ def test_close_without_start_returns(tmp_path, make):
     closer.start()
     closer.join(timeout=5.0)
     assert not closer.is_alive()
+
+
+_routes = st.sampled_from(["/v1/probes/", "/v1/status", "/v1/probes/s/p", "/charts/s/p.svg",
+                           "/stats/s/p", "/stats/s/q/"])
+_segments = st.sampled_from(["s", "p", "p.svg", ""]) | st.text(max_size=10)
+_prefixes = st.sampled_from(["", "/", "/v1/probes/", "/charts/", "/stats/"])
+_values = st.floats().map(repr) | st.sampled_from(["100", "160", "1", "60", "x"]) | st.text(max_size=8)
+_queries = st.lists(st.tuples(st.sampled_from(["from", "to", "step"]) | st.text(max_size=5),
+                              _values), max_size=3)
+_paths = st.builds(
+    lambda path, query: path + ("?" + "&".join(f"{k}={v}" for k, v in query) if query else ""),
+    _routes | st.builds(lambda prefix, parts: prefix + "/".join(parts),
+                        _prefixes, st.lists(_segments, max_size=3)),
+    _queries)
+
+
+@pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])
+def test_answer_gives_a_status_and_bytes_for_any_path(tmp_path, make):
+    server, _counts = make(tmp_path)
+    for t in (100.0, 101.0, 160.0):
+        server.state.ingest(Measurement(ProbeId("s", "p"), t, 40.0))
+
+    @settings(deadline=None, max_examples=300)
+    @given(_paths, st.sampled_from([{}, {AUTH_HEADER: "t"}, {AUTH_HEADER: "x"}]))
+    def check(path, headers):
+        status, body, _content_type = server.answer(path, headers)
+        assert status in {200, 400, 401, 404} and isinstance(body, bytes)
+
+    try:
+        check()
+    finally:
+        server.server_close()
 
 
 def test_driver_side_modules_do_not_import_http_server():

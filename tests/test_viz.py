@@ -11,6 +11,7 @@ import pytest
 
 import wattbus.rra
 from wattbus.config import ArchiveDef, VizConfig
+from wattbus.consumer import ConsumerHandler
 from wattbus.model import Measurement, ProbeId
 from wattbus.rra import RoundRobinArchive
 from wattbus.signing import sign
@@ -22,6 +23,8 @@ from wattbus.viz import (
     VizState,
     compute_stats,
 )
+
+from test_consumer import served_headers
 
 
 def m(topic, t, w):
@@ -152,6 +155,24 @@ class TestVizState:
         assert fresh.render_chart("a/p") == path
         assert fresh.render_chart("a/p") == path
         assert fresh.render_count == 1
+
+    def test_charts_of_other_probes_or_ranges_get_their_own_file(self, state):
+        # the topics differ only in where the '/' is; the bounds differ by
+        # under a millisecond but fall on either side of a bucket start
+        for i in range(5):
+            state.ingest(m("a__b/c", 100.0 + 10 * i, 100.0))
+            state.ingest(m("a/b__c", 100.0 + 10 * i, 900.0))
+        first, second = state.render_chart("a__b/c"), state.render_chart("a/b__c")
+        assert first != second and state.render_count == 2
+        assert "avg 900 W" in open(second).read()
+
+        for t, w in ((985.0, 100.0), (995.0, 100.0), (1005.0, 900.0), (1015.0, 900.0)):
+            state.ingest(m("s/p", t, w))
+        paths = [state.render_chart("s/p", t_from, 1020.0) for t_from in (999.9996, 1000.0004)]
+        assert paths[0] != paths[1] and state.render_count == 4
+        for path, t_from in zip(paths, (999.9996, 1000.0004)):
+            avg = state.stats("s/p", t_from, 1020.0).avg_w
+            assert f"avg {avg:.6g} W" in open(path).read()
 
     def test_chart_legend_matches_compute_stats(self, state):
         for i in range(8):
@@ -303,6 +324,10 @@ class TestVizHttp:
         status, ctype, body = http_get(f"{server.url}/charts/a/p.svg")
         assert status == 200 and ctype == "image/svg+xml"
         assert body.startswith(b"<svg")
+        viz = f"wattbus-viz {ConsumerHandler.sys_version}"
+        assert [served_headers(server, path) for path in (
+            "/charts/a/p.svg", "/stats/a/p", "/charts/no/body.svg", "/stats/a/p?from=x",
+            "/nonsense")] == [(viz, "image/svg+xml")] + [(viz, "application/json")] * 4
 
     def test_unknown_probe_404(self, server):
         status, _, _ = http_get(f"{server.url}/charts/no/body.svg")
