@@ -94,11 +94,11 @@ class ConsumerServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
-    def start(self, subscribe: Endpoint | None = None, prefix: str = "") -> None:
+    def start(self, subscribe: Endpoint | None = None) -> None:
         self._due = time.monotonic() + self._period_s
         self._http_thread.start()
         if subscribe is not None:
-            self._subscriber = Subscriber(subscribe, prefix, self._ingest)
+            self._subscriber = Subscriber(subscribe, "", self._ingest)  # every topic
         log.info("%s listening on %s", self.name, self.url)
 
     def service_actions(self) -> None:  # serve_forever calls this every poll

@@ -156,6 +156,7 @@ class DriverSpec:
             raise ValueError("watts_min must not exceed watts_max")
         if self.outlets is not None and not 1 <= self.outlets <= MAX_OUTLETS:
             raise ValueError(f"outlets must be an integer from 1 to {MAX_OUTLETS}")
+        self.outlet_probe(self.outlet_count)  # the longest outlet name must fit a file name too
         # outlet i's power walk is keyed by seed + i, packed as a signed 64-bit int
         if not -2 ** 63 <= self.seed + 1 <= 2 ** 63 - self.outlet_count:
             raise ValueError("seed plus outlet number must fit in a signed 64-bit integer")

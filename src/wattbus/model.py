@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring
 
 _HEX_RE = re.compile(r"[0-9a-f]+")
+MAX_PART_BYTES = 255  # the longest file name most filesystems take
 
 
 class DecodeError(ValueError):
@@ -35,8 +36,8 @@ class ProbeId:
     """Identifier of one metered point: a server chassis or a PDU outlet.
 
     The canonical topic form is ``site/name``.  Neither part may be empty,
-    contain ``/`` or NUL, or be a filesystem dot entry (probe ids name
-    archive directories on disk).
+    contain ``/`` or NUL, be a filesystem dot entry or exceed 255 UTF-8
+    bytes (probe ids name archive directories on disk).
     """
 
     site: str
@@ -52,6 +53,8 @@ class ProbeId:
                 raise ValueError(f"probe {label} must not contain NUL")
             if part in (".", ".."):
                 raise ValueError(f"probe {label} must not be {part!r}")
+            if len(part.encode("utf-8", "surrogatepass")) > MAX_PART_BYTES:
+                raise ValueError(f"probe {label} must not exceed {MAX_PART_BYTES} UTF-8 bytes")
 
     @classmethod
     def parse(cls, topic: str) -> "ProbeId":

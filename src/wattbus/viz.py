@@ -143,9 +143,9 @@ class VizState:
         self._secret = secret
         self._cache_dir = cache_dir or os.path.join(cfg.data_dir, "charts")
         os.makedirs(self._cache_dir, exist_ok=True)
-        for name in os.listdir(self._cache_dir):  # files the chart table below does not know
-            if name.endswith((".svg", ".svg.meta", ".tmp")):
-                os.remove(os.path.join(self._cache_dir, name))
+        for entry in os.scandir(self._cache_dir):  # files the chart table below does not know
+            if entry.name.endswith((".svg", ".svg.meta", ".tmp")) and entry.is_file():
+                os.remove(entry.path)  # not a probe's archive directory, as for "charts/p.svg"
         self._lock = threading.Lock()
         self._flush_lock = threading.Lock()  # one flush at a time writes the files
         self._probes: dict[str, _ProbeArchives] = {}

@@ -182,3 +182,64 @@ def test_viz_daemon_flushes_archives_on_sigterm(tmp_path):
         _stop(drivers)
     assert viz_code == 0
     assert len(list((data / "cli" / "p1").glob("*.rra"))) == 3
+
+
+def test_bench_refuses_an_unknown_fleet(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "run_scenario", _no_run)
+    out = tmp_path / "r.json"
+    assert main(["bench", "--sweep", "1", "--fleet", "nope", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'nope'" in err
+
+
+# runs ``main`` with a ``_serve`` that lists the loaded modules, then closes the daemon
+_LOADED_MODULES = """
+import json, sys
+import wattbus.cli as cli
+
+def serve(*closers):
+    loaded = sorted(sys.modules)
+    for close in closers:
+        close()
+    print(json.dumps(loaded))
+
+cli._serve = serve
+sys.exit(cli.main(sys.argv[1:]))
+"""
+_CONSUMER_SIDE = {"http.server", "urllib.request", "multiprocessing", "wattbus.consumer",
+                  "wattbus.api", "wattbus.viz", "wattbus.pollster", "wattbus.bench"}
+_NOT_FOR_CONSUMERS = {"wattbus.manager", "wattbus.bench", "wattbus.pollster",
+                   "urllib.request", "multiprocessing"}
+
+
+@pytest.mark.parametrize("daemon, unused", [
+    ("drivers", _CONSUMER_SIDE),
+    ("forwarder", _CONSUMER_SIDE | {"wattbus.manager"}),
+    ("api", _NOT_FOR_CONSUMERS | {"wattbus.viz"}),
+    ("viz", _NOT_FOR_CONSUMERS | {"wattbus.api"}),
+])
+def test_each_daemon_loads_only_its_own_modules(tmp_path, daemon, unused):
+    conf = tmp_path / "d.conf"
+    conf.write_text(
+        f"[bus]\nbind = ipc://{tmp_path / 'bus.sock'}\n"
+        "[probe:cli/p1]\ndriver = emulated-ipmi\ninterval = 1\n"
+        f"[api]\nlisten = 127.0.0.1:{_free_port()}\ntokens = t\n"
+        f"[viz]\nlisten = 127.0.0.1:{_free_port()}\ndata_dir = {tmp_path / 'data'}\n"
+        f"[forwarder]\nupstreams = ipc://{tmp_path / 'bus.sock'}\n"
+        f"bind = ipc://{tmp_path / 'fwd.sock'}\n")
+    out = subprocess.run([sys.executable, "-c", _LOADED_MODULES, daemon, "--config", str(conf)],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    loaded = set(json.loads(out.stdout))
+    assert f"wattbus.{'manager' if daemon == 'drivers' else daemon}" in loaded
+    assert not loaded & unused
+
+
+def test_driver_side_modules_do_not_load_the_config_parser():
+    code = ("import sys, wattbus.bench, wattbus.manager, wattbus.forwarder; "
+            "print(sorted({'wattbus.config', 'configparser'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -81,6 +81,22 @@ def test_duplicate_topic_via_outlet_expansion():
         parse_config(text)
 
 
+def _probe_section(site, name, driver):
+    return f"[probe:{site}/{name}]\ndriver = {driver}\ninterval = 5\n"
+
+
+@pytest.mark.parametrize("too_long, fits", [
+    (("a", "p" * 256, "ipmi"), ("a", "p" * 255, "ipmi")),
+    (("\u00e9" * 128, "p", "ipmi"), ("\u00e9" * 127, "p", "ipmi")),  # 2 UTF-8 bytes each
+    # outlet 10 of a PDU is published as <name>-out10, 6 bytes longer than its name
+    (("a", "p" * 250, "emulated-pdu"), ("a", "p" * 249, "emulated-pdu")),
+], ids=["name", "site-multibyte", "outlet-topic"])
+def test_probe_ids_must_fit_a_file_name(too_long, fits):
+    with pytest.raises(ConfigError, match=r"^\[probe:.*255 UTF-8 bytes"):
+        parse_config(_probe_section(*too_long))
+    assert len(parse_config(_probe_section(*fits)).probes) == 1
+
+
 def test_malformed_line_reports_line_number():
     text = "[probe:a/b]\ndriver = ipmi\nthis line has no equals sign\n"
     with pytest.raises(ConfigError, match="line 3"):

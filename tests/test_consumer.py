@@ -3,6 +3,7 @@
 import errno
 import http.client
 import logging
+import os
 import select
 import socket
 import subprocess
@@ -77,6 +78,26 @@ def test_ingest_counts_malformed_then_ingests_and_close_ends_threads(tmp_path, m
         pub.close()
     assert len(threads) == 2  # HTTP, which runs the periodic task, and the subscriber's reader
     assert not [t.name for t in threads if t.is_alive()]
+
+
+@pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])
+def test_probe_id_too_long_for_a_file_name_is_malformed(tmp_path, make, caplog):
+    # viz names a directory after each probe part; a 300-byte one cannot be made
+    server, counts = make(tmp_path)
+    pub = Publisher(Endpoint("tcp", host="127.0.0.1", port=0))
+    site = "s" * 300
+    try:
+        server.start(subscribe=pub.endpoint)
+        assert wait_until(lambda: pub.subscriber_count == 1)
+        pub.publish(Frame(f"{site}/p", b'{"probe":"%s/p","timestamp":1,"w":5}' % site.encode()))
+        pub.publish(Frame("s/p", encode_measurement(Measurement(ProbeId("s", "p"), 2.0, 40.0))))
+        assert wait_until(lambda: counts() == (1, 1)), counts()
+        assert server.ingest_errors == 0
+    finally:
+        server.close()
+        pub.close()
+    assert site not in os.listdir(tmp_path)
+    assert not [r for r in caplog.records if r.exc_info]
 
 
 @pytest.mark.parametrize("make", [api_server, viz_server], ids=["api", "viz"])

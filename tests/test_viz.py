@@ -156,6 +156,17 @@ class TestVizState:
         assert fresh.render_chart("a/p") == path
         assert fresh.render_count == 1
 
+    def test_restart_keeps_a_probe_whose_directory_is_in_the_chart_cache(self, tmp_path):
+        # the default cache is <data_dir>/charts, where probe charts/p.svg keeps its archives
+        cfg = small_viz_config(tmp_path / "data")
+        state = VizState(cfg)
+        state.ingest(m("charts/p.svg", 100.0, 200.0))
+        state.flush()
+        restarted = VizState(cfg)
+        restarted.ingest(m("charts/p.svg", 110.0, 400.0))
+        stats = restarted.stats("charts/p.svg")
+        assert (stats.min_w, stats.max_w) == (200.0, 400.0)  # the first sample came from disk
+
     def test_charts_of_other_probes_or_ranges_get_their_own_file(self, state):
         # the topics differ only in where the '/' is; the bounds differ by
         # under a millisecond but fall on either side of a bucket start
